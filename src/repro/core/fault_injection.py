@@ -150,6 +150,7 @@ class FaultInjectionStats:
     image_delta_bytes_applied: int = 0
     image_dirty_bytes_restored: int = 0
     image_pool_hits: int = 0
+    image_pool_misses: int = 0
     image_full_rebuilds: int = 0
     #: Full persistence-state-machine passes (1 under the incremental
     #: engine; O(failure points) under replay).
@@ -181,6 +182,7 @@ class FaultInjectionStats:
         self.image_delta_bytes_applied += stats.delta_bytes_applied
         self.image_dirty_bytes_restored += stats.dirty_bytes_restored
         self.image_pool_hits += stats.pool_hits
+        self.image_pool_misses += stats.pool_misses
         self.image_full_rebuilds += stats.full_rebuilds
         self.history_passes += stats.history_passes
 

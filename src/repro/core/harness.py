@@ -424,7 +424,7 @@ def _unpack_image(materialised) -> Tuple[Any, Tuple[int, ...]]:
     if isinstance(materialised, CrashImage):
         return materialised.data, materialised.poisoned_lines
     if isinstance(materialised, MaterialisedImage):
-        return materialised, ()
+        return materialised, materialised.poisoned_lines
     return bytes(materialised), ()
 
 
@@ -850,16 +850,20 @@ class _AdversarialCursor:
 
     def __call__(self, task: InjectionTask):
         if self._incremental:
+            # Every variant starts as the pooled prefix buffer; an
+            # adversarial one is patched in place over it (the factory
+            # records the patch so the pool reconciles it on release).
+            image = self._engine.checkout(task.seq)
             if task.variant == VARIANT_PREFIX:
-                # Graceful prefix variant: pooled zero-copy buffer.
-                return self._engine.checkout(task.seq)
-            # Adversarial variants derive from the same engine's prefix
-            # image (one advance, shared with the prefix variant at this
-            # failure point) plus the factory's shared history index.
-            prefix = self._engine.image_at(task.seq)
-            return self._factory.materialise(
-                task.seq, task.variant, prefix_image=prefix
-            )
+                return image
+            try:
+                return self._factory.materialise(
+                    task.seq, task.variant, prefix_image=image
+                )
+            except BaseException:
+                # The caller never sees the buffer: hand it back here.
+                self._engine.release(image)
+                raise
         prefix = self._prefix.image_at(task.seq)
         if task.variant == VARIANT_PREFIX:
             return prefix
@@ -1412,16 +1416,24 @@ def _run_parallel(
     # followers are synthesised at the supervisor the moment their
     # leader's outcome lands (or fall back to the queue if the leader
     # was quarantined).  Workers therefore pull *unique* images.
+    #
+    # The first ``config.jobs`` leaders are reserved one per worker, so
+    # every worker gets a task however the interpreter lock is handed
+    # out while the others are still setting up; the rest go to one
+    # shared queue that idle workers pull from.
     followers_of: Dict[int, List[InjectionTask]] = {}
     pending: "queue.Queue[InjectionTask]" = queue.Queue()
     if recovery is not None:
+        leaders = []
         for group in recovery.plan_groups(todo):
-            pending.put(group.leader)
+            leaders.append(group.leader)
             if group.followers:
                 followers_of[group.leader.index] = list(group.followers)
     else:
-        for task in todo:
-            pending.put(task)
+        leaders = todo
+    reserved = list(leaders[:config.jobs])
+    for task in leaders[config.jobs:]:
+        pending.put(task)
     events: "queue.Queue[tuple]" = queue.Queue()
     shutdown = threading.Event()
     requeues: Dict[int, int] = {}
@@ -1430,16 +1442,24 @@ def _run_parallel(
     #: (list.append is atomic under the GIL; merge happens after join).
     worker_telemetry: List[Any] = []
 
-    def worker(worker_id: int) -> None:
-        cursor = image_source.cursor()
-        session = recovery.session() if recovery is not None else None
+    def worker(worker_id: int, first: Optional[InjectionTask]) -> None:
+        try:
+            cursor = image_source.cursor()
+            session = recovery.session() if recovery is not None else None
+        except BaseException:
+            if first is not None:
+                pending.put(first)  # another worker runs it
+            raise
         wtel = telemetry.child(worker_id)
         worker_telemetry.append(wtel)
         while not shutdown.is_set():
-            try:
-                task = pending.get(timeout=0.02)
-            except queue.Empty:
-                continue
+            if first is not None:
+                task, first = first, None
+            else:
+                try:
+                    task = pending.get(timeout=0.02)
+                except queue.Empty:
+                    continue
             try:
                 if worker_fault is not None:
                     worker_fault(worker_id, task)
@@ -1452,18 +1472,21 @@ def _run_parallel(
                 return  # the worker thread is gone; supervisor respawns
             events.put(("done", worker_id, task, result))
 
-    def spawn() -> threading.Thread:
+    def spawn(first: Optional[InjectionTask] = None) -> threading.Thread:
         worker_serial[0] += 1
         thread = threading.Thread(
             target=worker,
-            args=(worker_serial[0],),
+            args=(worker_serial[0], first),
             daemon=True,
             name=f"mumak-injector-{worker_serial[0]}",
         )
         thread.start()
         return thread
 
-    workers = [spawn() for _ in range(config.jobs)]
+    workers = [
+        spawn(reserved[k] if k < len(reserved) else None)
+        for k in range(config.jobs)
+    ]
     completed = 0
     try:
         while completed < len(todo):

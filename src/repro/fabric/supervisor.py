@@ -477,7 +477,9 @@ class ShardSupervisor:
         self._pump_events(draining)
         if self.heartbeat is not None:
             self.heartbeat.finish()
-        return draining
+        # A drain request that lands after every shard journaled its
+        # last task leaves nothing to resume: the campaign completed.
+        return self.stats.drained_shards > 0
 
     def _reap(self, draining: bool, now: float) -> None:
         for shard in self._shards:

@@ -23,6 +23,15 @@ and the medium survives unharmed.  Real persistent memory is neither:
   recovery that crashes on one separately from one that detects and
   degrades.
 
+Every variant differs from the program-order prefix image in a few
+places, so under the incremental image engine each family is a patch
+over that image (:func:`patch_torn`, :func:`patch_reorder`,
+:func:`patch_media`) rather than a rebuilt copy of the pool: a campaign
+patches the pooled prefix buffer it checked out, and the snapshot pool
+undoes the patch when the buffer comes back.  The replay image engine
+rebuilds every variant from the trace and stays the differential
+reference.
+
 Everything is deterministic: every random choice is drawn from an RNG
 derived by hashing ``(seed, failure-point seq, family, variant index)``,
 so the same configuration always yields byte-identical crash images,
@@ -35,7 +44,7 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.pmem.constants import (
     ATOMIC_WRITE_SIZE,
@@ -50,6 +59,7 @@ from repro.pmem.incremental import (
     ImageEngineStats,
     IncrementalHistoryIndex,
     IncrementalImageEngine,
+    MaterialisedImage,
     validate_image_engine,
 )
 from repro.pmem.machine import VOLATILE_BASE
@@ -359,13 +369,24 @@ class AdversarialImageFactory:
         self,
         fail_seq: int,
         variant: str,
-        prefix_image: Optional[bytes] = None,
-    ) -> CrashImage:
+        prefix_image: Union[bytes, MaterialisedImage, None] = None,
+    ) -> Union[CrashImage, MaterialisedImage]:
         """Build the crash image for one variant id at ``fail_seq``.
 
-        ``prefix_image`` (the graceful image at the same failure point)
-        is an optimisation input for families derived from it; it is
-        recomputed when omitted.
+        ``prefix_image`` is the graceful image at the same failure point
+        (recomputed when omitted).  Under the incremental engine every
+        other family is a patch over it:
+
+        * a pooled :class:`~repro.pmem.incremental.MaterialisedImage`
+          (from :meth:`IncrementalImageEngine.checkout`) is patched in
+          place and returned, with the patched ranges and poison set
+          recorded on it so the pool reconciles the buffer on release;
+        * ``bytes`` (or ``None``) are copied once into a private buffer,
+          patched by the same function, and returned as a
+          :class:`CrashImage`.
+
+        The replay reference rebuilds torn and reorder variants from the
+        trace; media variants are the same patch under both engines.
         """
         family = variant_family(variant)
         if family == FAMILY_PREFIX:
@@ -381,18 +402,60 @@ class AdversarialImageFactory:
             index = int(variant.split(":", 1)[1])
         except (IndexError, ValueError):
             raise ValueError(f"malformed variant id {variant!r}")
+        if family not in (FAMILY_TORN, FAMILY_REORDER, FAMILY_MEDIA):
+            raise ValueError(f"unknown fault-model family {family!r}")
         rng = derive_rng(self.config.seed, fail_seq, family, index)
-        if family == FAMILY_TORN:
-            return self._materialise_torn(
-                fail_seq, variant, index, rng, prefix_image
+        if not self._incremental:
+            if family == FAMILY_TORN:
+                return self._replay_torn(fail_seq, variant, index, rng)
+            if family == FAMILY_REORDER:
+                return self._replay_reorder(fail_seq, variant, rng)
+        if isinstance(prefix_image, MaterialisedImage):
+            pooled, buffer = prefix_image, prefix_image.pm_buffer
+        else:
+            pooled = None
+            buffer = bytearray(
+                prefix_image
+                if prefix_image is not None
+                else self._prefix(fail_seq)
             )
-        if family == FAMILY_REORDER:
-            return self._materialise_reorder(fail_seq, variant, rng)
-        if family == FAMILY_MEDIA:
-            return self._materialise_media(
-                fail_seq, variant, rng, prefix_image
-            )
-        raise ValueError(f"unknown fault-model family {family!r}")
+            self._count_copy(buffer)
+        poisoned: Tuple[int, ...] = ()
+        try:
+            if family == FAMILY_TORN:
+                torn = self._torn_victim(fail_seq, index, rng)
+                patched = [] if torn is None else patch_torn(
+                    buffer, self._initial, self._hist_index(), fail_seq,
+                    *torn,
+                )
+            elif family == FAMILY_REORDER:
+                patched = patch_reorder(
+                    buffer, self._initial,
+                    self._hist_index().lines_at(fail_seq), rng,
+                )
+            else:
+                patched, poisoned = patch_media(
+                    buffer, self._written_lines(fail_seq), rng,
+                    self.config.media_poisoned_lines,
+                    self.config.media_bit_flips,
+                )
+        except BaseException:
+            if pooled is not None:
+                # A half-applied patch wrote ranges it never recorded.
+                pooled.invalidate()
+            raise
+        if pooled is not None:
+            pooled.record_patch(patched, poisoned)
+            return pooled
+        self._count_copy(buffer)
+        return CrashImage(
+            bytes(buffer), poisoned_lines=poisoned, variant=variant
+        )
+
+    def _count_copy(self, image, copies: int = 1) -> None:
+        """Account whole-image copies made on behalf of a variant."""
+        if self.stats is not None:
+            self.stats.bytes_copied += copies * len(image)
 
     def _prefix(self, fail_seq: int) -> bytes:
         if self._incremental:
@@ -409,36 +472,43 @@ class AdversarialImageFactory:
                 apply_write(image, event)
         if self.stats is not None:
             self.stats.images += 1
-            self.stats.bytes_copied += len(image)
+        # The build from ``initial`` and the immutable result.
+        self._count_copy(image, copies=2)
         return bytes(image)
 
     # -- torn writes --------------------------------------------------- #
 
-    def _materialise_torn(
-        self,
-        fail_seq: int,
-        variant: str,
-        index: int,
-        rng: random.Random,
-        prefix_image: Optional[bytes] = None,
-    ) -> CrashImage:
+    def _torn_victim(
+        self, fail_seq: int, index: int, rng: random.Random
+    ) -> Optional[Tuple[MemoryEvent, List[Tuple[int, int]], int]]:
+        """The torn store, its atomic units and the persisted-unit mask;
+        ``None`` when nothing is in flight at ``fail_seq``."""
         candidates = self._torn_candidates(fail_seq)
         if not candidates:
             # Planned against a different analysis?  Degenerate safely.
-            return CrashImage(self._prefix(fail_seq), variant=variant)
+            return None
         victim = candidates[index % len(candidates)]
         units = _atomic_units(victim.address, len(victim.data))
         if len(units) < 2:  # pragma: no cover - candidates are multi-unit
-            return CrashImage(self._prefix(fail_seq), variant=variant)
+            return None
         # A proper, non-empty subset of units persisted: the tear.
         mask = rng.getrandbits(len(units))
         full = (1 << len(units)) - 1
         while mask == 0 or mask == full:
             mask = rng.getrandbits(len(units))
-        if self._incremental:
-            return self._torn_from_prefix(
-                fail_seq, variant, victim, units, mask, prefix_image
-            )
+        return victim, units, mask
+
+    def _replay_torn(
+        self,
+        fail_seq: int,
+        variant: str,
+        index: int,
+        rng: random.Random,
+    ) -> CrashImage:
+        torn = self._torn_victim(fail_seq, index, rng)
+        if torn is None:
+            return CrashImage(self._prefix(fail_seq), variant=variant)
+        victim, units, mask = torn
         image = bytearray(self._initial)
         for event in self._trace:
             if event.seq >= fail_seq:
@@ -453,128 +523,158 @@ class AdversarialImageFactory:
                         ]
                 continue
             apply_write(image, event)
-        return CrashImage(bytes(image), variant=variant)
-
-    def _torn_from_prefix(
-        self,
-        fail_seq: int,
-        variant: str,
-        victim: MemoryEvent,
-        units: List[Tuple[int, int]],
-        mask: int,
-        prefix_image: Optional[bytes] = None,
-    ) -> CrashImage:
-        """Derive a torn image from the incremental prefix image.
-
-        Equivalence to the replay loop (which skips the victim's
-        unmasked units while re-applying the whole trace): every byte
-        outside the victim, and every *persisted* unit, already equals
-        the prefix image — the victim applied whole at its program-order
-        position followed by the same later writes.  Each non-persisted
-        unit is recomputed last-writer-wins from the initial bytes plus
-        every other store that touched it before ``fail_seq`` (the
-        line-history index holds them in trace order).  An aligned
-        8-byte unit never crosses a cache-line boundary, so one line
-        record covers each unit.
-        """
-        image = bytearray(
-            prefix_image if prefix_image is not None
-            else self._prefix(fail_seq)
-        )
-        hist = self._hist_index()
-        initial = self._initial
-        for bit, (lo, hi) in enumerate(units):
-            if mask & (1 << bit):
-                continue
-            image[lo:hi] = initial[lo:hi]
-            base = lo & ~(CACHE_LINE_SIZE - 1)
-            view = hist.line_at(base, fail_seq)
-            if view is None:  # pragma: no cover - victim store is recorded
-                continue
-            for seq, offset, data in view.stores_until(fail_seq):
-                if seq == victim.seq:
-                    continue
-                s_lo = base + offset
-                s_hi = s_lo + len(data)
-                a = max(s_lo, lo)
-                b = min(s_hi, hi)
-                if a < b:
-                    image[a:b] = data[a - s_lo:b - s_lo]
+        # The build from ``initial`` and the immutable result.
+        self._count_copy(image, copies=2)
         return CrashImage(bytes(image), variant=variant)
 
     # -- dirty-line reordering sampling -------------------------------- #
 
-    def _materialise_reorder(
+    def _replay_reorder(
         self, fail_seq: int, variant: str, rng: random.Random
     ) -> CrashImage:
+        # Rendering needs per-line store data, not just the memoised cut
+        # lists, so the histories are recomputed here.
+        histories = build_line_histories(self._trace, fail_seq)
+        if self.stats is not None:
+            self.stats.history_passes += 1
+        lines = sorted(histories.values(), key=lambda h: h.base)
         image = bytearray(self._initial)
-        if self._incremental:
-            # The shared index serves render-ready per-line views; no
-            # per-variant persistence-state-machine replay.
-            lines = self._hist_index().lines_at(fail_seq)
-        else:
-            # Rendering needs per-line store data, not just the memoised
-            # cut lists, so the histories are recomputed here.
-            histories = build_line_histories(self._trace, fail_seq)
-            if self.stats is not None:
-                self.stats.history_passes += 1
-            lines = sorted(histories.values(), key=lambda h: h.base)
-        choices: List[int] = []
-        any_movable = False
-        for line in lines:
-            cuts = line.candidate_cut_seqs()
-            choice = rng.randrange(len(cuts))
-            choices.append(choice)
-            if len(cuts) > 1:
-                any_movable = True
-        latest = all(
-            choice == len(line.candidate_cut_seqs()) - 1
-            for choice, line in zip(choices, lines)
-        )
-        if latest and any_movable:
-            # All-latest is (up to NT-store detail) the prefix image;
-            # hold one movable line back at its mandatory frontier so the
-            # sample genuinely reorders.
-            movable = [
-                i
-                for i, line in enumerate(lines)
-                if len(line.candidate_cut_seqs()) > 1
-            ]
-            choices[movable[rng.randrange(len(movable))]] = 0
-        for line, choice in zip(lines, choices):
-            line.render(image, line.candidate_cut_seqs()[choice])
+        for line, (cut, _latest) in zip(lines, _sample_cuts(lines, rng)):
+            line.render(image, cut)
+        # The build from ``initial`` and the immutable result.
+        self._count_copy(image, copies=2)
         return CrashImage(bytes(image), variant=variant)
 
-    # -- media errors --------------------------------------------------- #
 
-    def _materialise_media(
-        self,
-        fail_seq: int,
-        variant: str,
-        rng: random.Random,
-        prefix_image: Optional[bytes],
-    ) -> CrashImage:
-        base_image = (
-            prefix_image if prefix_image is not None else self._prefix(fail_seq)
-        )
-        image = bytearray(base_image)
-        written = list(self._written_lines(fail_seq))
-        if not written:
-            return CrashImage(bytes(image), variant=variant)
-        poisoned: List[int] = []
-        n_poison = min(self.config.media_poisoned_lines, len(written))
-        if n_poison > 0:
-            poisoned = sorted(rng.sample(written, n_poison))
-        flippable = [base for base in written if base not in poisoned]
-        for _ in range(self.config.media_bit_flips):
-            if not flippable:
-                break
-            base = flippable[rng.randrange(len(flippable))]
-            offset = rng.randrange(CACHE_LINE_SIZE)
-            bit = rng.randrange(8)
-            address = base + offset
-            if address < len(image):
-                image[address] ^= 1 << bit
-        return CrashImage(
-            bytes(image), poisoned_lines=tuple(poisoned), variant=variant
-        )
+# --------------------------------------------------------------------- #
+# per-family patches over a prefix image
+# --------------------------------------------------------------------- #
+
+
+def patch_torn(
+    image: bytearray,
+    initial: bytes,
+    hist: IncrementalHistoryIndex,
+    fail_seq: int,
+    victim: MemoryEvent,
+    units: List[Tuple[int, int]],
+    mask: int,
+) -> List[Tuple[int, int]]:
+    """Tear ``victim`` in the prefix image held by ``image``.
+
+    Equivalence to the replay loop (which skips the victim's unmasked
+    units while re-applying the whole trace): every byte outside the
+    victim, and every *persisted* unit, already equals the prefix image —
+    the victim applied whole at its program-order position followed by
+    the same later writes.  Each non-persisted unit is recomputed
+    last-writer-wins from the initial bytes plus every other store that
+    touched it before ``fail_seq`` (the line-history index holds them in
+    trace order).  An aligned 8-byte unit never crosses a cache-line
+    boundary, so one line record covers each unit.
+
+    Returns the ``(address, length)`` ranges rewritten.
+    """
+    patched: List[Tuple[int, int]] = []
+    for bit, (lo, hi) in enumerate(units):
+        if mask & (1 << bit):
+            continue
+        image[lo:hi] = initial[lo:hi]
+        patched.append((lo, hi - lo))
+        base = lo & ~(CACHE_LINE_SIZE - 1)
+        view = hist.line_at(base, fail_seq)
+        if view is None:  # pragma: no cover - victim store is recorded
+            continue
+        for seq, offset, data in view.stores_until(fail_seq):
+            if seq == victim.seq:
+                continue
+            s_lo = base + offset
+            s_hi = s_lo + len(data)
+            a = max(s_lo, lo)
+            b = min(s_hi, hi)
+            if a < b:
+                image[a:b] = data[a - s_lo:b - s_lo]
+    return patched
+
+
+def _sample_cuts(lines: Sequence, rng: random.Random) -> List[Tuple[int, bool]]:
+    """Draw one persistence cut per dirty line, in cache-line-base order.
+
+    Returns ``(cut seq, is the line's latest cut)`` per line.  All-latest
+    is the prefix image, so when every draw lands there one movable line
+    is held back at its mandatory frontier and the sample genuinely
+    reorders.
+    """
+    cut_lists = [line.candidate_cut_seqs() for line in lines]
+    choices = [rng.randrange(len(cuts)) for cuts in cut_lists]
+    if all(
+        choice == len(cuts) - 1 for choice, cuts in zip(choices, cut_lists)
+    ):
+        movable = [i for i, cuts in enumerate(cut_lists) if len(cuts) > 1]
+        if movable:
+            choices[movable[rng.randrange(len(movable))]] = 0
+    return [
+        (cuts[choice], choice == len(cuts) - 1)
+        for cuts, choice in zip(cut_lists, choices)
+    ]
+
+
+def patch_reorder(
+    image: bytearray,
+    initial: bytes,
+    lines: Sequence,
+    rng: random.Random,
+) -> List[Tuple[int, int]]:
+    """Persist each of ``lines`` only up to a sampled cut.
+
+    ``image`` holds the prefix image, and ``lines`` are the failure
+    point's line-history views.  A line drawn at its latest cut renders
+    to exactly its prefix bytes (every store it saw before the failure
+    point, in trace order), so only the others are touched: reset to
+    ``initial`` and rendered at their cut.  Returns the ranges rewritten.
+    """
+    patched: List[Tuple[int, int]] = []
+    for line, (cut, latest) in zip(lines, _sample_cuts(lines, rng)):
+        if latest:
+            continue
+        lo = line.base
+        hi = min(lo + CACHE_LINE_SIZE, len(image))
+        image[lo:hi] = initial[lo:hi]
+        line.render(image, cut)
+        patched.append((lo, hi - lo))
+    return patched
+
+
+def patch_media(
+    image: bytearray,
+    written: Sequence[int],
+    rng: random.Random,
+    poisoned_lines: int,
+    bit_flips: int,
+) -> Tuple[List[Tuple[int, int]], Tuple[int, ...]]:
+    """Plant media errors among the ``written`` cache lines.
+
+    Poisons up to ``poisoned_lines`` of them and flips ``bit_flips``
+    single bits in the rest.  Returns the flipped ranges and the sorted
+    poison set (returned as data: poison lives on the recovered medium,
+    not in the image bytes).
+    """
+    written = list(written)
+    if not written:
+        return [], ()
+    poisoned: List[int] = []
+    n_poison = min(poisoned_lines, len(written))
+    if n_poison > 0:
+        poisoned = sorted(rng.sample(written, n_poison))
+    flippable = [base for base in written if base not in poisoned]
+    patched: List[Tuple[int, int]] = []
+    for _ in range(bit_flips):
+        if not flippable:
+            break
+        base = flippable[rng.randrange(len(flippable))]
+        offset = rng.randrange(CACHE_LINE_SIZE)
+        bit = rng.randrange(8)
+        address = base + offset
+        if address < len(image):
+            image[address] ^= 1 << bit
+            patched.append((address, 1))
+    return patched, tuple(poisoned)

@@ -24,8 +24,12 @@ reference (``--image-engine replay``).  Three pieces:
   :attr:`MaterialisedImage.pm_buffer`) and logs every medium write; on
   the next checkout only the recovery-dirtied ranges are restored from
   the pristine running image and the inter-failure-point deltas
-  re-applied.  A full ``bytearray`` copy happens once per pooled buffer,
-  not once per injection.
+  re-applied.  Torn, reorder and media variants are in-place patches
+  over the same checked-out buffer
+  (:meth:`~repro.pmem.faultmodel.AdversarialImageFactory.materialise`),
+  and the patched ranges are reconciled with the recovery dirt.  A full
+  ``bytearray`` copy happens once per pooled buffer, not once per
+  injection, for every fault family.
 * :class:`IncrementalHistoryIndex` — one O(T) pass computing, per cache
   line, the full store history and the mandatory-durability step
   function, so torn/reorder/media fault-model variants all consume the
@@ -193,16 +197,37 @@ class MaterialisedImage:
 
     ``version`` is the failure-point seq whose prefix image the buffer
     held when checked out; together with the write log it is the
-    copy-on-write bookkeeping the engine reconciles on reuse.
+    copy-on-write bookkeeping the engine reconciles on reuse.  A fault
+    model may patch the checked-out prefix image into one of its
+    variants (:meth:`record_patch`): the patched ranges join the
+    reconciliation, and :attr:`poisoned_lines` carries the variant's
+    poison set to the recovered medium.
     """
 
-    __slots__ = ("pm_buffer", "version", "abandoned", "_write_log")
+    __slots__ = ("pm_buffer", "version", "abandoned", "poisoned_lines",
+                 "_write_log", "_patched")
 
     def __init__(self, buffer: bytearray, version: int):
         self.pm_buffer = buffer
         self.version = version
         self.abandoned = False
+        #: Cache-line bases the recovered medium must fault on (media
+        #: variants); empty for prefix, torn and reorder images.
+        self.poisoned_lines: Tuple[int, ...] = ()
         self._write_log: Optional[List[Tuple[int, int]]] = None
+        self._patched: List[Tuple[int, int]] = []
+
+    # -- fault-model protocol ------------------------------------------ #
+
+    def record_patch(
+        self,
+        ranges: Sequence[Tuple[int, int]],
+        poisoned_lines: Sequence[int] = (),
+    ) -> None:
+        """Note a variant patch: ``(address, length)`` ranges rewritten
+        in :attr:`pm_buffer` and the variant's poison set."""
+        self._patched.extend(ranges)
+        self.poisoned_lines = tuple(poisoned_lines)
 
     # -- oracle-side protocol ------------------------------------------ #
 
@@ -210,6 +235,11 @@ class MaterialisedImage:
         """Called by ``PMachine.from_image`` when a medium adopts the
         buffer; starts the medium's write log."""
         self._write_log = medium.start_write_log()
+
+    def invalidate(self) -> None:
+        """Mark the buffer as no longer a known diff of its prefix image
+        (a patch failed part-way); the pool rebuilds it on reuse."""
+        self.version = -1
 
     def abandon(self) -> None:
         """Mark the buffer as unsafe to reuse (an abandoned watchdog
@@ -219,13 +249,22 @@ class MaterialisedImage:
     # -- pool-side protocol -------------------------------------------- #
 
     def consume_dirty(self) -> List[Tuple[int, int]]:
-        ranges = self._write_log or []
+        """Every range that differs from the checked-out prefix image:
+        the variant patches, then the adopting medium's writes.  A buffer
+        released without being adopted (a verdict-cache hit) still
+        reports its patches."""
+        ranges = self._patched
+        if self._write_log:
+            ranges = ranges + self._write_log
+        self._patched = []
         self._write_log = None
         return ranges
 
     def reset(self, version: int) -> None:
         self.version = version
+        self.poisoned_lines = ()
         self._write_log = None
+        self._patched = []
 
     # -- bytes-like conveniences --------------------------------------- #
 
@@ -314,7 +353,8 @@ class IncrementalImageEngine:
             return MaterialisedImage(bytearray(self._running), fail_seq)
         buffer = image.pm_buffer
         if image.version < 0 or image.version > fail_seq:
-            # Out-of-order task (requeue after worker death): rebuild.
+            # Invalidated buffer, or an out-of-order task (requeue
+            # after worker death): rebuild.
             self.stats.pool_misses += 1
             self.stats.bytes_copied += len(self._running)
             buffer[:] = self._running

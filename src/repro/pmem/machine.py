@@ -415,11 +415,17 @@ class PMachine:
             self._check_pm_bounds(address, 1)
             base = cache_line_of(address)
             line = self.cache.peek(base)
+            # A weak flush parks the line's data and marks it clean, so
+            # a clean line may still hold stores that only the parked
+            # snapshot carries; clflush persists that snapshot instead
+            # of dropping it.  A dirty line's data supersedes it.
+            pending = self._pending_flushes.pop(base, None)
+            if line is not None and line.dirty:
+                self.medium.write(base, line.copy_data())
+            elif pending is not None:
+                self.medium.write(base, pending[0])
             if line is not None:
-                if line.dirty:
-                    self.medium.write(base, line.copy_data())
                 self.cache.invalidate(base)
-            self._pending_flushes.pop(base, None)
         self._emit(Opcode.CLFLUSH, address, CACHE_LINE_SIZE)
 
     def clflushopt(self, address: int) -> None:

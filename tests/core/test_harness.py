@@ -7,6 +7,7 @@ executor (parallel ≡ serial, worker-death requeue, poison pills).
 """
 
 import os
+import threading
 import time
 
 import pytest
@@ -630,3 +631,61 @@ class TestFaultInjectorSurvivesTheMonkey:
             text = format_capped_trace(err, char_limit=500)
         assert len(text) <= 500 + 32
         assert "[trace truncated]" in text
+
+
+class TestParallelWorkAssignment:
+    def test_each_worker_starts_on_a_task_of_its_own(self, monkey_run):
+        """The first task of each worker is reserved for it, so the k-th
+        worker's first task is the k-th task however threads are
+        scheduled."""
+        initial, trace, _ = monkey_run
+        tasks = monkey_tasks(trace)
+        first_of = {}
+        lock = threading.Lock()
+
+        def note(worker_id, task):
+            with lock:
+                first_of.setdefault(worker_id, task.index)
+
+        campaign = run_campaign(
+            tasks,
+            PrefixImageSource(initial, trace),
+            lambda: CrashMonkey("ok"),
+            config=HarnessConfig(jobs=3),
+            _worker_fault=note,
+        )
+        assert len(campaign.results) == len(tasks)
+        assert first_of == {k + 1: tasks[k].index for k in range(3)}
+
+    def test_idle_workers_keep_pulling_while_one_stalls(self, monkey_run):
+        """A worker stuck on a slow task holds up no other task: the
+        idle workers run all of them."""
+        initial, trace, _ = monkey_run
+        tasks = monkey_tasks(trace)
+        stalled = tasks[0].index
+        ran_by = {}
+        rest_started = threading.Event()
+        lock = threading.Lock()
+
+        def stall_first(worker_id, task):
+            if task.index == stalled:
+                rest_started.wait(timeout=10)
+            with lock:
+                ran_by[task.index] = worker_id
+                if len(ran_by) == len(tasks) - 1 and stalled not in ran_by:
+                    rest_started.set()
+
+        campaign = run_campaign(
+            tasks,
+            PrefixImageSource(initial, trace),
+            lambda: CrashMonkey("report"),
+            config=HarnessConfig(jobs=3),
+            _worker_fault=stall_first,
+        )
+        assert records(campaign) == records(run_campaign(
+            tasks, PrefixImageSource(initial, trace),
+            lambda: CrashMonkey("report"),
+        ))
+        assert rest_started.is_set()
+        assert ran_by[stalled] == 1
+        assert all(ran_by[t.index] != 1 for t in tasks[1:])

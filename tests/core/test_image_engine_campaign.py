@@ -19,6 +19,9 @@ import pytest
 
 from repro.apps import APPLICATIONS
 from repro.core import Mumak, MumakConfig
+from repro.core.harness import AdversarialImageSource, InjectionTask
+from repro.instrument.runner import run_instrumented
+from repro.instrument.tracer import MinimalTracer
 from repro.pmem.faultmodel import FaultModelConfig
 from repro.pmem.incremental import (
     ENGINE_IMAGE_INCREMENTAL,
@@ -182,3 +185,68 @@ class TestHotPathAccounting:
             incremental.fault_injection.stats.unique_failure_points
         )
         assert replay.fault_injection.stats.history_passes >= points
+
+
+@pytest.mark.slow
+class TestCopyFreeAdversarialCampaign:
+    """Every adversarial variant is a patch over a pooled prefix buffer,
+    so the incremental engine copies the whole pool only when the pool
+    misses, and the patches change nothing a campaign reports."""
+
+    N_OPS = 40
+
+    def run(self, image_engine, checkpoint_path):
+        config = MumakConfig(
+            seed=SEED,
+            run_trace_analysis=False,
+            fault_model=FaultModelConfig(
+                model="adversarial", samples=2, seed=11
+            ),
+            image_engine=image_engine,
+            checkpoint_path=str(checkpoint_path),
+        )
+        workload = generate_workload(self.N_OPS, seed=SEED)
+        return Mumak(config).analyze(factory, workload)
+
+    def test_copies_only_on_pool_misses_and_matches_replay(self, tmp_path):
+        results, journals = {}, {}
+        for engine in (ENGINE_IMAGE_REPLAY, ENGINE_IMAGE_INCREMENTAL):
+            path = tmp_path / f"{engine}.ckpt.jsonl"
+            results[engine] = self.run(engine, path)
+            journals[engine] = path.read_bytes()
+        stats = results[ENGINE_IMAGE_INCREMENTAL].fault_injection.stats
+        assert stats.adversarial_injections > 0
+        assert stats.image_pool_misses >= 1
+        assert stats.image_bytes_copied == (
+            stats.image_pool_misses * factory().pool_size
+        )
+        assert fingerprintable(
+            results[ENGINE_IMAGE_REPLAY]
+        ) == fingerprintable(results[ENGINE_IMAGE_INCREMENTAL])
+        assert journals[ENGINE_IMAGE_REPLAY] == journals[
+            ENGINE_IMAGE_INCREMENTAL
+        ]
+        assert len(journals[ENGINE_IMAGE_REPLAY]) > 0
+
+
+class TestAdversarialCursorPool:
+    def test_rejected_variant_hands_its_buffer_back(self):
+        """A variant the factory rejects never reaches the caller, so the
+        cursor returns the checked-out buffer to the pool itself."""
+        tracer = MinimalTracer()
+        artifacts = run_instrumented(
+            factory, generate_workload(10, seed=SEED), hooks=[tracer]
+        )
+        source = AdversarialImageSource(
+            artifacts.initial_image, tracer.events,
+            FaultModelConfig(model="adversarial", samples=1, seed=3),
+            image_engine=ENGINE_IMAGE_INCREMENTAL,
+        )
+        cursor = source.cursor()
+        task = InjectionTask(index=0, stack=("op",), seq=5, variant="torn")
+        with pytest.raises(ValueError, match="malformed variant id"):
+            cursor(task)
+        for seq in (5, 9):
+            image = cursor(InjectionTask(index=1, stack=("op",), seq=seq))
+            cursor.release(image)
+        assert source.collect_stats().pool_misses == 1

@@ -221,3 +221,49 @@ class TestDrain:
             assert record["i"] in result.records
         # The merge ran even though the campaign drained.
         assert header is not None
+
+
+def _journal_all_then_linger(shard_id, tasks, journal_path, beacon, stop):
+    """Journal every task, then stay alive until told to stop."""
+    _journal_all(shard_id, tasks, journal_path, beacon, stop)
+    deadline = time.monotonic() + 30
+    while not stop.is_set() and time.monotonic() < deadline:
+        time.sleep(0.005)
+
+
+class TestLateDrain:
+    def test_stop_after_every_task_journaled_is_not_a_drain(self, tmp_path):
+        """A drain request that arrives once every task is journaled,
+        while the shards are still alive, leaves nothing to resume: the
+        campaign reports completion, not a drain."""
+        tasks = _tasks(8)
+        stop = threading.Event()
+        ckpt = str(tmp_path / "camp.jsonl")
+
+        def stop_when_all_journaled():
+            deadline = time.monotonic() + 30
+            while time.monotonic() < deadline:
+                done = 0
+                for path in find_shard_journals(ckpt):
+                    try:
+                        done += len(read_journal(path)[1])
+                    except Exception:  # noqa: BLE001 - journal mid-write
+                        pass
+                if done == len(tasks):
+                    break
+                time.sleep(0.01)
+            stop.set()
+
+        watcher = threading.Thread(target=stop_when_all_journaled)
+        watcher.start()
+        try:
+            _, supervisor, result = _run(
+                tasks, _journal_all_then_linger, tmp_path, stop=stop
+            )
+        finally:
+            watcher.join(timeout=60)
+        assert not watcher.is_alive()
+        assert stop.is_set()
+        assert not result.drained
+        assert supervisor.stats.drained_shards == 0
+        assert sorted(result.records) == list(range(8))

@@ -564,3 +564,197 @@ class TestSnapshotPool:
         assert image.consume_dirty() == []
         image.reset(9)
         assert image.version == 9
+
+
+# --------------------------------------------------------------------- #
+# copy-free variants: in-place patches over pooled prefix buffers
+# --------------------------------------------------------------------- #
+
+
+def scribble(image, rng):
+    """Adopt ``image`` into a medium and write recovery dirt through it."""
+    medium = Medium(buffer=image.pm_buffer)
+    image.on_adopted(medium)
+    for _ in range(rng.randrange(0, 4)):
+        address = rng.randrange(0, SIZE - 16)
+        medium.write(address, bytes(rng.randrange(256) for _ in range(16)))
+
+
+class TestCopyFreeVariants:
+    """Torn, reorder and media variants patch the pooled buffer that
+    :meth:`IncrementalImageEngine.checkout` hands out; the pool then
+    reconciles the patch like recovery dirt."""
+
+    def assert_pooled_variants_match_replay(self, config, initial, trace,
+                                            dirt_seed):
+        replay, incremental = paired_factories(config, initial, trace)
+        engine = IncrementalImageEngine(initial, trace, pool_size=1)
+        reference = IncrementalImageEngine(initial, trace)
+        rng = random.Random(dirt_seed)
+        for fs in fail_seqs(trace):
+            for variant in replay.plan(fs):
+                image = engine.checkout(fs)
+                patched = incremental.materialise(
+                    fs, variant, prefix_image=image
+                )
+                assert patched is image  # patched in place, no copy
+                expected = replay.materialise(fs, variant)
+                assert bytes(image) == expected.data, (
+                    f"{variant} image diverges at seq {fs}"
+                )
+                assert image.poisoned_lines == expected.poisoned_lines
+                if rng.random() < 0.5:
+                    scribble(image, rng)  # recovery ran on it
+                engine.release(image)  # otherwise a verdict-cache hit
+                prefix = engine.checkout(fs)
+                assert bytes(prefix) == reference.image_at(fs)
+                assert prefix.poisoned_lines == ()
+                engine.release(prefix)
+        # One buffer served every checkout, and only its creation copied.
+        assert engine.stats.pool_misses <= 1
+        assert engine.stats.bytes_copied == (
+            engine.stats.pool_misses * len(initial)
+        )
+
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 10_000), dirt_seed=st.integers(0, 1000))
+    def test_interleaved_checkouts_match_replay(self, seed, dirt_seed):
+        self.assert_pooled_variants_match_replay(
+            FaultModelConfig(model="adversarial", samples=2, seed=13),
+            make_initial(seed), make_trace(seed, 80), dirt_seed,
+        )
+
+    @settings(max_examples=10, deadline=None)
+    @given(script=st.lists(op_entry, min_size=4, max_size=40),
+           dirt_seed=st.integers(0, 1000))
+    def test_interleaved_checkouts_match_replay_scripts(
+        self, script, dirt_seed
+    ):
+        self.assert_pooled_variants_match_replay(
+            FaultModelConfig(model="adversarial", samples=3, seed=5,
+                             media_bit_flips=3),
+            make_initial(1), trace_from_script(script), dirt_seed,
+        )
+
+    # -- fixed scenarios ----------------------------------------------- #
+
+    INITIAL = bytes(SIZE)
+    TRACE = [
+        MemoryEvent(1, Opcode.STORE, address=0, size=16,
+                    data=b"\x11" * 16),
+        MemoryEvent(2, Opcode.STORE, address=64, size=8, data=b"\x22" * 8),
+        MemoryEvent(3, Opcode.SFENCE),
+        MemoryEvent(4, Opcode.STORE, address=128, size=8, data=b"\x33" * 8),
+    ]
+
+    def factory(self, model="adversarial"):
+        return AdversarialImageFactory(
+            FaultModelConfig(model=model, samples=1, seed=3),
+            self.INITIAL, self.TRACE,
+            image_engine=ENGINE_IMAGE_INCREMENTAL,
+        )
+
+    def test_unadopted_patch_is_reconciled(self):
+        """A verdict-cache hit releases the patched buffer without any
+        medium adopting it; the patch alone must still be undone."""
+        engine = IncrementalImageEngine(self.INITIAL, self.TRACE)
+        factory = self.factory()
+        image = engine.checkout(3)
+        factory.materialise(3, "torn:0", prefix_image=image)
+        assert bytes(image) != prefix_image(self.INITIAL, self.TRACE, 3)
+        engine.release(image)
+        again = engine.checkout(3)
+        assert again is image
+        assert bytes(again) == prefix_image(self.INITIAL, self.TRACE, 3)
+        engine.release(again)
+        later = engine.checkout(5)
+        assert bytes(later) == prefix_image(self.INITIAL, self.TRACE, 5)
+        assert engine.stats.dirty_bytes_restored > 0
+        assert engine.stats.pool_misses == 1
+
+    def test_abandoned_patched_buffer_is_leaked(self):
+        engine = IncrementalImageEngine(self.INITIAL, self.TRACE)
+        factory = self.factory()
+        image = engine.checkout(3)
+        factory.materialise(3, "media:0", prefix_image=image)
+        assert image.poisoned_lines
+        image.abandon()
+        engine.release(image)
+        fresh = engine.checkout(3)
+        assert fresh is not image
+        assert engine.stats.pool_misses == 2
+        assert bytes(fresh) == prefix_image(self.INITIAL, self.TRACE, 3)
+        assert fresh.poisoned_lines == ()
+
+    def test_pooled_reset_clears_previous_media_poison(self):
+        from repro.errors import MediaError
+
+        engine = IncrementalImageEngine(self.INITIAL, self.TRACE)
+        factory = self.factory()
+        image = engine.checkout(5)
+        factory.materialise(5, "media:0", prefix_image=image)
+        (poisoned,) = image.poisoned_lines
+        machine = PMachine.from_image(
+            image, poisoned_lines=image.poisoned_lines
+        )
+        assert machine.medium.poisoned_lines == (poisoned,)
+        with pytest.raises(MediaError):
+            machine.load(poisoned, 8)
+        engine.release(image)
+        clean = engine.checkout(5)
+        assert clean is image and clean.poisoned_lines == ()
+        machine.reset_to_image(clean, clean.poisoned_lines)
+        assert machine.medium.poisoned_lines == ()
+        expected = prefix_image(self.INITIAL, self.TRACE, 5)
+        assert machine.load(poisoned, 8) == expected[poisoned:poisoned + 8]
+        assert bytes(clean) == expected
+
+    def test_bytes_prefix_patches_a_private_copy(self):
+        """Given ``bytes`` (as under ``--engine replay``), the factory
+        patches a private copy and counts both copies it makes."""
+        stats = ImageEngineStats()
+        factory = AdversarialImageFactory(
+            FaultModelConfig(model="torn", samples=1, seed=3),
+            self.INITIAL, self.TRACE,
+            image_engine=ENGINE_IMAGE_INCREMENTAL, stats=stats,
+        )
+        prefix = prefix_image(self.INITIAL, self.TRACE, 3)
+        crash = factory.materialise(3, "torn:0", prefix_image=prefix)
+        assert crash.data != prefix
+        assert prefix == prefix_image(self.INITIAL, self.TRACE, 3)
+        assert stats.bytes_copied == 2 * SIZE
+
+    def test_replay_counts_every_variant_copy(self):
+        stats = ImageEngineStats()
+        factory = AdversarialImageFactory(
+            FaultModelConfig(model="adversarial", samples=1, seed=3),
+            self.INITIAL, self.TRACE,
+            image_engine=ENGINE_IMAGE_REPLAY, stats=stats,
+        )
+        prefix = prefix_image(self.INITIAL, self.TRACE, 3)
+        variants = factory.plan(3)
+        assert variants
+        for variant in variants:
+            factory.materialise(3, variant, prefix_image=prefix)
+        # Each variant builds one buffer and freezes it into bytes.
+        assert stats.bytes_copied == 2 * SIZE * len(variants)
+
+    def test_failed_patch_forces_a_rebuild(self, monkeypatch):
+        """A patch that raises part-way leaves writes it never recorded;
+        the released buffer is rebuilt, not reconciled, on reuse."""
+        import repro.pmem.faultmodel as faultmodel
+
+        def half_patch(image, *args):
+            image[0:16] = b"\xee" * 16
+            raise RuntimeError("patch failed part-way")
+
+        monkeypatch.setattr(faultmodel, "patch_torn", half_patch)
+        engine = IncrementalImageEngine(self.INITIAL, self.TRACE)
+        image = engine.checkout(3)
+        with pytest.raises(RuntimeError):
+            self.factory().materialise(3, "torn:0", prefix_image=image)
+        engine.release(image)
+        again = engine.checkout(3)
+        assert again is image
+        assert bytes(again) == prefix_image(self.INITIAL, self.TRACE, 3)
+        assert engine.stats.pool_misses == 2

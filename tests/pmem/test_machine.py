@@ -213,3 +213,42 @@ class TestCrash:
         assert machine.load(addr, 4) == b"abcd"
         machine.persist(addr, 4)
         assert machine.crash()[addr:addr + 4] == b"abcd"
+
+
+class TestWeakFlushThenClflush:
+    """``store → clwb/clflushopt → clflush`` on one line.
+
+    The weak flush parks a snapshot of the line and marks it clean; the
+    clflush that follows finds a clean line, and must persist the parked
+    snapshot rather than drop it along with the pending flush.
+    """
+
+    @pytest.mark.parametrize("weak", ["clwb", "clflushopt"])
+    def test_store_survives_and_stays_visible(self, machine, weak):
+        machine.store(256, b"\x2a" * 8)
+        getattr(machine, weak)(256)
+        machine.clflush(256)
+        assert machine.load(256, 8) == b"\x2a" * 8
+        assert machine.crash_image()[256:264] == b"\x2a" * 8
+        machine.sfence()
+        assert machine.pending_flush_count() == 0
+        assert machine.crash_image()[256:264] == b"\x2a" * 8
+
+    def test_later_store_supersedes_the_parked_snapshot(self, machine):
+        machine.store(256, b"\x01")
+        machine.clwb(256)
+        machine.store(257, b"\x02")  # line dirty again
+        machine.clflush(256)
+        image = machine.crash_image()
+        assert image[256:258] == b"\x01\x02"
+
+    def test_parked_snapshot_survives_clean_eviction(self):
+        machine = PMachine(
+            pm_size=64 * 1024, cache_capacity=1, eviction=LRUEviction()
+        )
+        machine.store(256, b"\x2a")
+        machine.clwb(256)
+        machine.store(1024, b"\x07")  # evicts the clean line at 256
+        machine.clflush(256)
+        assert machine.load(256, 1) == b"\x2a"
+        assert machine.crash_image()[256] == 0x2A

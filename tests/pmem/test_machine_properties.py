@@ -1,6 +1,6 @@
 """Hypothesis property tests over the machine's persistency semantics."""
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.pmem import CACHE_LINE_SIZE, PMachine
@@ -61,6 +61,10 @@ def drive(machine, script):
 class TestVisibilityProperties:
     @settings(deadline=None, max_examples=60)
     @given(st.lists(op_strategy, max_size=50))
+    # A weak flush parks the line and marks it clean; a following
+    # clflush must persist the parked data, not drop it.
+    @example([("store", 0, 1), ("clwb", 0, 1), ("clflush", 0, 1)])
+    @example([("store", 0, 1), ("clflushopt", 0, 1), ("clflush", 0, 1)])
     def test_loads_always_see_latest_store(self, script):
         machine = PMachine(pm_size=PM_SIZE)
         visible = drive(machine, script)
