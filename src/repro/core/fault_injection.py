@@ -29,11 +29,14 @@ Both engines route every recovery through the hardened campaign runner
 (:mod:`repro.core.harness`): watchdogged oracle execution, per-injection
 containment with retry + quarantine, optional checkpoint journaling, and
 (for the trace engine) a supervised parallel worker pool whose merged
-output is identical to a serial run.
+output is identical to a serial run.  The trace engine plans once
+(:meth:`FaultInjector._plan`, schedule samples included), and the same
+plan runs in-process, across shard processes, or across fleet hosts.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import os
 import threading
@@ -42,16 +45,15 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.fpt import FailurePointTree
 from repro.core.harness import (
-    AdversarialImageSource,
     CampaignJournal,
     CampaignResult,
     HarnessConfig,
     InjectionResult,
     InjectionTask,
-    PrefixImageSource,
     QuarantineRecord,
     execute_injection,
     make_finding,
+    make_image_source,
     run_campaign,
 )
 from repro.core.oracle import RecoveryOutcome, RecoveryStatus
@@ -77,6 +79,8 @@ from repro.pmem.incremental import (
     validate_image_engine,
 )
 from repro.pmem.machine import PMachine
+from repro.recovery import RecoveryEngine, VerdictCacheError
+from repro.recovery.engine import CACHE_SUFFIX, RecoveryEngineStats
 
 ENGINE_TRACE = "trace"
 ENGINE_REPLAY = "replay"
@@ -273,6 +277,56 @@ class FaultInjectionResult:
     drained: bool = False
 
 
+@dataclass
+class CampaignPlan:
+    """Everything a trace-engine campaign fixes before any executor runs:
+    the same plan drives serial, threaded, sharded, and fleet execution."""
+
+    #: Crash-image source (dispatching on ``task.sched`` for a
+    #: scheduled campaign).
+    source: Any
+    tasks: List[InjectionTask]
+    stats: FaultInjectionStats
+    #: Digest inputs of every RecoveryEngine of the campaign.
+    engine_kwargs: Dict[str, Any]
+    #: The tree the result reports (sample 0's for a scheduled campaign).
+    tree: FailurePointTree
+
+
+def _matches_plan(task: Optional[InjectionTask], result) -> bool:
+    """Whether a restored or delivered ``result`` is the planned ``task``:
+    same failure point, fault variant, and schedule sample."""
+    return (
+        task is not None
+        and result is not None
+        and result.task.stack == task.stack
+        and result.task.variant == task.variant
+        and result.task.sched == task.sched
+    )
+
+
+def _resume_split(tasks, resume_state, base_records):
+    """Split a plan into the tasks to run and the indices an earlier run
+    already completed.
+
+    A task whose restored record is not the planned one re-runs, and its
+    stale base record is dropped: it would shadow the fresh result at
+    merge time (first writer wins).  Returns ``(todo, restored_indices,
+    base_records)``.
+    """
+    resume_state = resume_state or {}
+    base_records = dict(base_records or {})
+    todo: List[InjectionTask] = []
+    restored_indices: Set[int] = set()
+    for task in tasks:
+        if _matches_plan(task, resume_state.get(task.index)):
+            restored_indices.add(task.index)
+        else:
+            todo.append(task)
+            base_records.pop(task.index, None)
+    return todo, restored_indices, base_records
+
+
 class FaultInjector:
     """Configurable fault-injection engine."""
 
@@ -327,14 +381,19 @@ class FaultInjector:
         #: 0 = off).
         self.stall_window = stall_window
 
-    def _recovery_engine(self, trace=None):
-        """A campaign-scoped RecoveryEngine, or None when disabled."""
+    @property
+    def _recovery_cfg(self):
+        """The recovery-engine config when enabled, else None."""
         if self.recovery is None or not self.recovery.enabled:
             return None
-        from repro.recovery import RecoveryEngine
+        return self.recovery
 
+    def _recovery_engine(self, **engine_kwargs):
+        """A campaign-scoped RecoveryEngine, or None when disabled."""
+        if self._recovery_cfg is None:
+            return None
         return RecoveryEngine(
-            self.recovery, trace=trace, telemetry=self.telemetry
+            self.recovery, telemetry=self.telemetry, **engine_kwargs
         )
 
     def _close_recovery(self, engine, stats) -> None:
@@ -381,25 +440,49 @@ class FaultInjector:
         candidates: int = 0,
         journal: Optional[CampaignJournal] = None,
         resume_state: Optional[Dict[int, InjectionResult]] = None,
+        runs=None,
     ) -> FaultInjectionResult:
-        """Injection against an already-built tree/trace (pipeline entry)."""
-        stats = FaultInjectionStats(
-            candidates=candidates,
-            unique_failure_points=tree.failure_point_count,
-            trace_length=len(trace),
-            executions=1,
-        )
-        if self.engine == ENGINE_TRACE:
-            return self._inject_from_trace(
-                app_factory,
-                tree,
-                trace,
-                initial_image,
-                stats,
-                journal=journal,
-                resume_state=resume_state,
+        """Injection against an already-built tree/trace (pipeline entry).
+
+        ``runs`` (the :func:`repro.sched.campaign.detect_schedules`
+        output) switches to a scheduled campaign: the plan comes from
+        the per-sample trees and ``tree``/``trace``/``initial_image``
+        are ignored.  Everything downstream of planning is the same.
+        """
+        if self.engine != ENGINE_TRACE:
+            if runs is not None:
+                raise ValueError(
+                    "scheduled campaigns require the trace engine; the "
+                    "replay engine re-executes the target per failure "
+                    "point and has no notion of a recorded interleaving"
+                )
+            stats = FaultInjectionStats(
+                candidates=candidates,
+                unique_failure_points=tree.failure_point_count,
+                trace_length=len(trace),
+                executions=1,
             )
-        return self._inject_by_replay(app_factory, workload, seed, tree, stats)
+            return self._inject_by_replay(
+                app_factory, workload, seed, tree, stats
+            )
+        plan = self._plan(tree, trace, initial_image, runs)
+        plan.stats.candidates = candidates
+        recovery_engine = self._recovery_engine(**plan.engine_kwargs)
+        campaign = run_campaign(
+            plan.tasks,
+            plan.source,
+            app_factory,
+            config=self.harness,
+            journal=journal,
+            resume_state=resume_state,
+            telemetry=self.telemetry,
+            heartbeat=self._heartbeat(len(plan.tasks)),
+            recovery=recovery_engine,
+            stop=self.stop,
+        )
+        self._close_recovery(recovery_engine, plan.stats)
+        self._absorb_image_stats(plan)
+        return self._collect(campaign, plan.stats, plan.tree)
 
     # ------------------------------------------------------------------ #
     # step 1: detection
@@ -424,31 +507,67 @@ class FaultInjector:
         return tree, tracer.events, artifacts.initial_image
 
     # ------------------------------------------------------------------ #
-    # step 2+3, trace engine (through the hardened campaign runner)
+    # step 2+3, trace engine: one plan for every executor
     # ------------------------------------------------------------------ #
 
-    def _make_source(self, trace, initial_image):
-        """The campaign's crash-image source for the configured model."""
-        if self.fault_model.is_adversarial:
-            return AdversarialImageSource(
-                initial_image, trace, self.fault_model,
+    def _plan(self, tree, trace, initial_image, runs=None) -> CampaignPlan:
+        """The deterministic plan of a trace-engine campaign.
+
+        One loop over schedule samples builds the task list; a
+        single-threaded campaign is the one sample ``-1`` over ``tree``.
+        Samples contribute in schedule order with globally contiguous
+        task indices, so journal and fabric identity (``task.index``)
+        are oblivious to schedules.  Per failure point the prefix task
+        comes first (so finding dedup attributes dual-reachable bugs to
+        the graceful crash) and adversarial variants ride after; the
+        variant planner is the sample source's own factory, so planning
+        consumes the same memoized history pass the cursors use.
+        """
+        if runs is None:
+            source = make_image_source(
+                initial_image, trace, self.fault_model, self.image_engine
+            )
+            samples = [(-1, tree, source)]
+            stats = FaultInjectionStats(
+                unique_failure_points=tree.failure_point_count,
+                trace_length=len(trace),
+                executions=1,
+            )
+            engine_kwargs: Dict[str, Any] = dict(trace=trace)
+        else:
+            from repro.sched.campaign import (
+                MultiScheduleSource,
+                union_extent,
+                write_seqs_by_sched,
+            )
+
+            source = MultiScheduleSource(
+                runs,
+                fault_model=self.fault_model,
                 image_engine=self.image_engine,
             )
-        return PrefixImageSource(
-            initial_image, trace, image_engine=self.image_engine
-        )
-
-    def _plan_tasks(self, tree, source) -> List[InjectionTask]:
-        """The deterministic injection plan: one prefix task per failure
-        point (first, so finding dedup attributes dual-reachable bugs to
-        the graceful crash), adversarial variants riding after.
-
-        Planning shares the source's factory so the adversarial families
-        consume the same memoized history pass the cursors use.
-        """
-        planner = (
-            source.factory if self.fault_model.is_adversarial else None
-        )
+            samples = [
+                (run.sched, run.tree, source.sources[run.sched])
+                for run in runs
+            ]
+            tree = runs[0].tree
+            stats = FaultInjectionStats(
+                unique_failure_points=sum(
+                    run.tree.failure_point_count for run in runs
+                ),
+                trace_length=sum(len(run.trace) for run in runs),
+                executions=len(runs),
+                schedules=len(runs),
+                sched_threads=runs[0].threads,
+            )
+            # Every engine, in every process, digests over the union of
+            # the samples' persisted-write extents: two crash images that
+            # agree on every byte any sample persisted (equivalent
+            # interleavings) collapse to one verdict-cache digest.
+            engine_kwargs = dict(
+                write_seqs=write_seqs_by_sched(runs),
+                extent=union_extent(runs),
+            )
         tasks: List[InjectionTask] = []
 
         def room() -> bool:
@@ -459,92 +578,13 @@ class FaultInjector:
         with self.telemetry.span(
             "campaign/injection/planner", engine=self.image_engine
         ):
-            for stack, node in tree.failure_points():
-                if not room():
-                    break
-                node.visited = True
-                tasks.append(
-                    InjectionTask(
-                        index=len(tasks), stack=stack, seq=node.first_seq
-                    )
-                )
-                if planner is not None:
-                    for variant in planner.plan(node.first_seq):
-                        if not room():
-                            break
-                        tasks.append(
-                            InjectionTask(
-                                index=len(tasks),
-                                stack=stack,
-                                seq=node.first_seq,
-                                variant=variant,
-                            )
-                        )
-        return tasks
-
-    def _inject_from_trace(
-        self,
-        app_factory,
-        tree,
-        trace,
-        initial_image,
-        stats,
-        journal=None,
-        resume_state=None,
-    ) -> FaultInjectionResult:
-        source = self._make_source(trace, initial_image)
-        tasks = self._plan_tasks(tree, source)
-        recovery_engine = self._recovery_engine(trace=trace)
-        campaign = run_campaign(
-            tasks,
-            source,
-            app_factory,
-            config=self.harness,
-            journal=journal,
-            resume_state=resume_state,
-            telemetry=self.telemetry,
-            heartbeat=self._heartbeat(len(tasks)),
-            recovery=recovery_engine,
-            stop=self.stop,
-        )
-        self._close_recovery(recovery_engine, stats)
-        collected = source.collect_stats()
-        stats.absorb_image_stats(collected)
-        if self.telemetry.enabled:
-            collected.publish(
-                self.telemetry.registry, engine=self.image_engine
-            )
-        return self._collect(campaign, stats, tree)
-
-    # ------------------------------------------------------------------ #
-    # step 2+3, trace engine over schedule samples (repro.sched)
-    # ------------------------------------------------------------------ #
-
-    def _plan_sched_tasks(self, runs, source) -> List[InjectionTask]:
-        """The deterministic plan of a scheduled campaign.
-
-        Samples contribute in schedule order with globally contiguous
-        task indices, so journal/fabric identity (``task.index``) works
-        unchanged; each task additionally carries its schedule id.  The
-        per-point layout inside a sample matches :meth:`_plan_tasks`
-        exactly (prefix first, adversarial variants riding after).
-        """
-        adversarial = self.fault_model.is_adversarial
-        tasks: List[InjectionTask] = []
-
-        def room() -> bool:
-            return self.max_injections is None or (
-                len(tasks) < self.max_injections
-            )
-
-        with self.telemetry.span(
-            "campaign/injection/planner", engine=self.image_engine
-        ):
-            for run in runs:
+            for sched, sample_tree, sample_source in samples:
                 planner = (
-                    source.sources[run.sched].factory if adversarial else None
+                    sample_source.factory
+                    if self.fault_model.is_adversarial
+                    else None
                 )
-                for stack, node in run.tree.failure_points():
+                for stack, node in sample_tree.failure_points():
                     if not room():
                         break
                     node.visited = True
@@ -553,7 +593,7 @@ class FaultInjector:
                             index=len(tasks),
                             stack=stack,
                             seq=node.first_seq,
-                            sched=run.sched,
+                            sched=sched,
                         )
                     )
                     if planner is not None:
@@ -566,92 +606,18 @@ class FaultInjector:
                                     stack=stack,
                                     seq=node.first_seq,
                                     variant=variant,
-                                    sched=run.sched,
+                                    sched=sched,
                                 )
                             )
-        return tasks
+        return CampaignPlan(source, tasks, stats, engine_kwargs, tree)
 
-    def _sched_recovery_engine(self, runs):
-        """A RecoveryEngine spanning every schedule sample, or None.
-
-        The digest extent is the *union* of the samples' persisted-write
-        extents, so two crash images that agree on every byte any sample
-        ever persisted — equivalent interleavings, DPOR-style — collapse
-        to one verdict-cache digest within and across samples.
-        """
-        if self.recovery is None or not self.recovery.enabled:
-            return None
-        from repro.recovery import RecoveryEngine
-        from repro.sched.campaign import union_extent, write_seqs_by_sched
-
-        return RecoveryEngine(
-            self.recovery,
-            write_seqs=write_seqs_by_sched(runs),
-            extent=union_extent(runs),
-            telemetry=self.telemetry,
-        )
-
-    def inject_scheduled(
-        self,
-        app_factory,
-        runs,
-        threads: int = 0,
-        candidates: int = 0,
-        journal: Optional[CampaignJournal] = None,
-        resume_state: Optional[Dict[int, InjectionResult]] = None,
-    ) -> FaultInjectionResult:
-        """Injection over pre-detected schedule samples (pipeline entry).
-
-        ``runs`` is the :func:`repro.sched.campaign.detect_schedules`
-        output: per-sample traces, trees, and initial images.  Everything
-        downstream of planning reuses the single-threaded campaign
-        machinery verbatim — tasks dispatch to their sample's image
-        source by schedule id, and journals/checkpoints order records by
-        ``(sched, index)``.
-        """
-        from repro.sched.campaign import MultiScheduleSource
-
-        if self.engine != ENGINE_TRACE:
-            raise ValueError(
-                "scheduled campaigns require the trace engine; the replay "
-                "engine re-executes the target per failure point and has "
-                "no notion of a recorded interleaving"
-            )
-        stats = FaultInjectionStats(
-            candidates=candidates,
-            unique_failure_points=sum(
-                run.tree.failure_point_count for run in runs
-            ),
-            trace_length=sum(len(run.trace) for run in runs),
-            executions=len(runs),
-            schedules=len(runs),
-            sched_threads=threads,
-        )
-        source = MultiScheduleSource(
-            runs, fault_model=self.fault_model, image_engine=self.image_engine
-        )
-        tasks = self._plan_sched_tasks(runs, source)
-        recovery_engine = self._sched_recovery_engine(runs)
-        campaign = run_campaign(
-            tasks,
-            source,
-            app_factory,
-            config=self.harness,
-            journal=journal,
-            resume_state=resume_state,
-            telemetry=self.telemetry,
-            heartbeat=self._heartbeat(len(tasks)),
-            recovery=recovery_engine,
-            stop=self.stop,
-        )
-        self._close_recovery(recovery_engine, stats)
-        collected = source.collect_stats()
-        stats.absorb_image_stats(collected)
+    def _absorb_image_stats(self, plan: CampaignPlan) -> None:
+        collected = plan.source.collect_stats()
+        plan.stats.absorb_image_stats(collected)
         if self.telemetry.enabled:
             collected.publish(
                 self.telemetry.registry, engine=self.image_engine
             )
-        return self._collect(campaign, stats, runs[0].tree)
 
     def _heartbeat(self, total: int) -> Optional[HeartbeatMonitor]:
         """A live progress monitor, or None when inert (no telemetry and
@@ -666,8 +632,95 @@ class FaultInjector:
         return monitor if monitor.active else None
 
     # ------------------------------------------------------------------ #
-    # step 2+3, trace engine across shard processes (repro.fabric)
+    # step 2+3 across processes or hosts (repro.fabric): shared steps
     # ------------------------------------------------------------------ #
+
+    def _slice_engine(self, plan: CampaignPlan, journal_path: str, donors=()):
+        """The RecoveryEngine of one shard or fleet slice, or None.
+
+        Its verdict cache lives next to the slice journal.  A SIGKILL
+        (chaos or operator) can tear that cache's header line; the cache
+        is an accelerator, never ground truth, so it is rebuilt from
+        scratch.  The engine then adopts the campaign-wide cache (zero
+        re-verification on resume) and every ``donors`` cache file.
+        """
+        cfg = self._recovery_cfg
+        if cfg is None:
+            return None
+        slice_cfg = dataclasses.replace(
+            cfg,
+            cache_path=(
+                journal_path + CACHE_SUFFIX if cfg.cache_enabled else None
+            ),
+        )
+        try:
+            engine = RecoveryEngine(slice_cfg, **plan.engine_kwargs)
+        except VerdictCacheError:
+            os.remove(slice_cfg.cache_path)
+            engine = RecoveryEngine(slice_cfg, **plan.engine_kwargs)
+        if engine.cache is not None:
+            engine.cache.adopt(cfg.cache_path)
+            for donor in donors:
+                try:
+                    with open(donor, "rb") as fh:
+                        engine.cache.adopt_bytes(fh.read())
+                except OSError:
+                    continue
+            engine.stats.cache_loaded = engine.cache.loaded
+        return engine
+
+    def _fold_vcaches(self, checkpoint_path: str, donors=()) -> None:
+        """Fold every slice verdict cache, plus ``donors``, into the
+        campaign-wide cache, then retire the slice artifacts: the merged
+        journal and cache are the single source of truth, drained or
+        complete.  A donor torn by a kill or in flight is an accelerator
+        lost, never an error."""
+        from repro.fabric import (
+            cleanup_shard_artifacts,
+            find_shard_journals,
+            merge_vcaches,
+        )
+
+        cfg = self._recovery_cfg
+        if cfg is not None and cfg.cache_path is not None:
+            paths = [
+                path + CACHE_SUFFIX
+                for path in find_shard_journals(checkpoint_path)
+            ]
+            for donor in paths + list(donors):
+                try:
+                    merge_vcaches(cfg.cache_path, cfg.scope, [donor])
+                except VerdictCacheError:
+                    continue
+        cleanup_shard_artifacts(checkpoint_path)
+
+    def _collect_fabric(self, plan: CampaignPlan, fabric_result):
+        """Finish a shard or fleet campaign from its merged results.
+
+        Planning-time image accounting happened in this process.  Journal
+        records beyond this campaign's plan stay in the merged journal,
+        exactly as a serial append-mode journal keeps them, but are not
+        campaign results.
+        """
+        self._absorb_image_stats(plan)
+        planned = {task.index: task for task in plan.tasks}
+        results = [
+            result
+            for result in fabric_result.results
+            if _matches_plan(planned.get(result.task.index), result)
+        ]
+        campaign = CampaignResult(
+            results=results, drained=fabric_result.drained
+        )
+        return self._collect(campaign, plan.stats, plan.tree)
+
+    def _require_trace_engine(self, what: str) -> None:
+        if self.engine != ENGINE_TRACE:
+            raise ValueError(
+                f"{what} campaigns require the trace engine; the replay "
+                "engine discovers failure points by re-execution and is "
+                "inherently serial"
+            )
 
     def inject_sharded(
         self,
@@ -696,100 +749,24 @@ class FaultInjector:
 
         ``resume_state``/``base_records`` carry an earlier run's
         completed injections (results for filtering, raw journal records
-        for the merge).  Per-injection wall-clock split is not tracked
+        for the merge); ``runs`` switches to a scheduled campaign as in
+        :meth:`inject`.  Per-injection wall-clock split is not tracked
         (timings are process-local and deliberately unserialised); all
         other accounting — including per-shard image and recovery-engine
         stats — is relayed back best-effort.
-
-        ``runs`` switches the campaign to scheduled mode: the plan comes
-        from the per-sample trees (``tree``/``trace``/``initial_image``
-        are ignored and may be None) and each shard materialises images
-        from its tasks' own samples.  Shard partitioning, journaling,
-        and the merge are oblivious to schedules — global task indices
-        keep them working unchanged.
         """
         # Lazy: repro.fabric depends on this package's harness module.
-        from repro.fabric import (
-            ShardSupervisor,
-            cleanup_shard_artifacts,
-            find_shard_journals,
-            merge_vcaches,
-        )
-        from repro.recovery import RecoveryEngine
-        from repro.recovery.cache import VerdictCacheError
-        from repro.recovery.engine import CACHE_SUFFIX, RecoveryEngineStats
+        from repro.fabric import ShardSupervisor
 
-        if self.engine != ENGINE_TRACE:
-            raise ValueError(
-                "sharded campaigns require the trace engine; the replay "
-                "engine discovers failure points by re-execution and is "
-                "inherently serial"
-            )
-        stats = FaultInjectionStats(
-            candidates=candidates,
-            executions=1,
-            shards=fabric.shards,
+        self._require_trace_engine("sharded")
+        plan = self._plan(tree, trace, initial_image, runs)
+        stats = plan.stats
+        stats.candidates = candidates
+        stats.shards = fabric.shards
+        source = plan.source
+        todo, restored_indices, base_records = _resume_split(
+            plan.tasks, resume_state, base_records
         )
-        if runs is not None:
-            from repro.sched.campaign import MultiScheduleSource
-
-            stats.unique_failure_points = sum(
-                run.tree.failure_point_count for run in runs
-            )
-            stats.trace_length = sum(len(run.trace) for run in runs)
-            stats.executions = len(runs)
-            stats.schedules = len(runs)
-            source = MultiScheduleSource(
-                runs,
-                fault_model=self.fault_model,
-                image_engine=self.image_engine,
-            )
-            tasks = self._plan_sched_tasks(runs, source)
-        else:
-            stats.unique_failure_points = tree.failure_point_count
-            stats.trace_length = len(trace)
-            source = self._make_source(trace, initial_image)
-            tasks = self._plan_tasks(tree, source)
-        resume_state = resume_state or {}
-        base_records = dict(base_records or {})
-        todo: List[InjectionTask] = []
-        restored_indices: Set[int] = set()
-        for task in tasks:
-            restored = resume_state.get(task.index)
-            if (
-                restored is not None
-                and restored.task.stack == task.stack
-                and restored.task.variant == task.variant
-                and getattr(restored.task, "sched", -1) == task.sched
-            ):
-                restored_indices.add(task.index)
-            else:
-                todo.append(task)
-                # A stale record for a task that must re-run would
-                # shadow the fresh result at merge time (first-writer
-                # wins); drop it so the shard's record is the only one.
-                base_records.pop(task.index, None)
-
-        harness = self.harness
-        recovery_cfg = (
-            self.recovery
-            if self.recovery is not None and self.recovery.enabled
-            else None
-        )
-        main_cache_path = (
-            recovery_cfg.cache_path if recovery_cfg is not None else None
-        )
-        if runs is not None:
-            from repro.sched.campaign import union_extent, write_seqs_by_sched
-
-            # Every shard engine digests over the same union extent, so
-            # cross-sample aliases hash identically in every process.
-            engine_kwargs = dict(
-                write_seqs=write_seqs_by_sched(runs),
-                extent=union_extent(runs),
-            )
-        else:
-            engine_kwargs = dict(trace=trace)
 
         def worker_body(shard_id, shard_tasks, journal_path, beacon, stop):
             """Runs inside the forked shard: the ordinary in-process
@@ -801,41 +778,14 @@ class FaultInjector:
             # the parent's planning-time numbers; relay only what THIS
             # shard adds, or the parent would count planning per shard.
             image_baseline = dataclasses.asdict(source.collect_stats())
-            engine = None
+            engine = self._slice_engine(plan, journal_path)
             engine_stats = None
-            if recovery_cfg is not None:
-                shard_cfg = dataclasses.replace(
-                    recovery_cfg,
-                    cache_path=(
-                        journal_path + CACHE_SUFFIX
-                        if recovery_cfg.cache_enabled
-                        else None
-                    ),
-                )
-                try:
-                    engine = RecoveryEngine(shard_cfg, **engine_kwargs)
-                except VerdictCacheError:
-                    # A SIGKILL (chaos or operator) can tear the shard
-                    # cache's header line.  The cache is an accelerator,
-                    # never ground truth — rebuild it from scratch.
-                    if shard_cfg.cache_path is not None:
-                        try:
-                            os.remove(shard_cfg.cache_path)
-                        except FileNotFoundError:
-                            pass
-                    engine = RecoveryEngine(shard_cfg, **engine_kwargs)
-                if engine.cache is not None and main_cache_path is not None:
-                    # Zero re-verification on resume: every verdict the
-                    # drained/crashed campaign persisted replays from
-                    # memory.
-                    engine.cache.adopt(main_cache_path)
-                    engine.stats.cache_loaded = engine.cache.loaded
             try:
                 run_campaign(
                     shard_tasks,
                     source,
                     app_factory,
-                    config=harness,
+                    config=self.harness,
                     journal=journal,
                     heartbeat=beacon,
                     recovery=engine,
@@ -890,51 +840,8 @@ class FaultInjector:
         stats.shard_deaths = fabric_result.stats.deaths
         stats.shard_respawns = fabric_result.stats.respawns
         stats.chaos_kills = fabric_result.stats.chaos_kills
-
-        # Fold the shard verdict caches into the campaign-wide cache,
-        # then retire every shard artifact (the merged journal + cache
-        # are now the single source of truth, drained or complete).
-        if main_cache_path is not None:
-            merge_vcaches(
-                main_cache_path,
-                recovery_cfg.scope,
-                [
-                    path + CACHE_SUFFIX
-                    for path in find_shard_journals(checkpoint_path)
-                ],
-            )
-        cleanup_shard_artifacts(checkpoint_path)
-
-        # Planning-time image accounting happened in this process; the
-        # per-shard execution accounting arrived via the stats relay.
-        planning_stats = source.collect_stats()
-        stats.absorb_image_stats(planning_stats)
-        if self.telemetry.enabled:
-            planning_stats.publish(
-                self.telemetry.registry, engine=self.image_engine
-            )
-
-        planned = {task.index: task for task in tasks}
-        results = []
-        for result in fabric_result.results:
-            task = planned.get(result.task.index)
-            if (
-                task is None
-                or task.stack != result.task.stack
-                or task.variant != result.task.variant
-                or getattr(result.task, "sched", -1) != task.sched
-            ):
-                # Journal records beyond this campaign's plan (kept in
-                # the merged journal, exactly as a serial append-mode
-                # journal keeps them) are not campaign results.
-                continue
-            results.append(result)
-        campaign = CampaignResult(
-            results=results, drained=fabric_result.drained
-        )
-        return self._collect(
-            campaign, stats, runs[0].tree if runs is not None else tree
-        )
+        self._fold_vcaches(checkpoint_path)
+        return self._collect_fabric(plan, fabric_result)
 
     def inject_fleet(
         self,
@@ -970,100 +877,35 @@ class FaultInjector:
         from, shipped so workers can refuse a tampered manifest.
         """
         # Lazy: repro.fabric depends on this package's harness module.
-        from repro.fabric import cleanup_shard_artifacts, merge_vcaches
         from repro.fabric.fleet import FleetSupervisor
-        from repro.recovery import RecoveryEngine
-        from repro.recovery.cache import VerdictCacheError
-        from repro.recovery.engine import CACHE_SUFFIX
 
-        if self.engine != ENGINE_TRACE:
-            raise ValueError(
-                "fleet campaigns require the trace engine; the replay "
-                "engine discovers failure points by re-execution and is "
-                "inherently serial"
-            )
-        stats = FaultInjectionStats(
-            candidates=candidates,
-            unique_failure_points=tree.failure_point_count,
-            trace_length=len(trace),
-            executions=1,
-            fleet_slices=fleet.slices,
-        )
-        source = self._make_source(trace, initial_image)
-        tasks = self._plan_tasks(tree, source)
-        resume_state = resume_state or {}
-        base_records = dict(base_records or {})
-        todo: List[InjectionTask] = []
-        restored_indices: Set[int] = set()
-        for task in tasks:
-            restored = resume_state.get(task.index)
-            if (
-                restored is not None
-                and restored.task.stack == task.stack
-                and restored.task.variant == task.variant
-            ):
-                restored_indices.add(task.index)
-            else:
-                todo.append(task)
-                # Same staleness rule as the shard merge: a record for a
-                # task that must re-run would shadow the fresh result.
-                base_records.pop(task.index, None)
-
-        harness = self.harness
-        recovery_cfg = (
-            self.recovery
-            if self.recovery is not None and self.recovery.enabled
-            else None
-        )
-        main_cache_path = (
-            recovery_cfg.cache_path if recovery_cfg is not None else None
+        self._require_trace_engine("fleet")
+        plan = self._plan(tree, trace, initial_image)
+        stats = plan.stats
+        stats.candidates = candidates
+        stats.fleet_slices = fleet.slices
+        todo, restored_indices, base_records = _resume_split(
+            plan.tasks, resume_state, base_records
         )
 
         def local_runner(slice_id, slice_tasks, journal_path, stop):
             """The degradation path: one fleet slice, in this process,
             journaled exactly like an in-host shard so the ordinary
-            merge machinery picks it up."""
+            merge machinery picks it up.  Verdicts that made it back
+            over the transport are adopted too: zero re-verification
+            for work a dead fleet already did."""
             journal = CampaignJournal(
                 journal_path, fingerprint, seed=seed, interval=1
             )
-            engine = None
-            if recovery_cfg is not None:
-                local_cfg = dataclasses.replace(
-                    recovery_cfg,
-                    cache_path=(
-                        journal_path + CACHE_SUFFIX
-                        if recovery_cfg.cache_enabled
-                        else None
-                    ),
-                )
-                try:
-                    engine = RecoveryEngine(local_cfg, trace=trace)
-                except VerdictCacheError:
-                    if local_cfg.cache_path is not None:
-                        try:
-                            os.remove(local_cfg.cache_path)
-                        except FileNotFoundError:
-                            pass
-                    engine = RecoveryEngine(local_cfg, trace=trace)
-                if engine.cache is not None:
-                    if main_cache_path is not None:
-                        engine.cache.adopt(main_cache_path)
-                    # Verdicts that made it back over the transport are
-                    # just as good locally — zero re-verification for
-                    # work a dead fleet already did.
-                    for spool in supervisor.vcache_paths:
-                        try:
-                            with open(spool, "rb") as fh:
-                                engine.cache.adopt_bytes(fh.read())
-                        except OSError:
-                            continue
-                    engine.stats.cache_loaded = engine.cache.loaded
+            engine = self._slice_engine(
+                plan, journal_path, donors=supervisor.vcache_paths
+            )
             try:
                 run_campaign(
                     slice_tasks,
-                    source,
+                    plan.source,
                     app_factory,
-                    config=harness,
+                    config=self.harness,
                     journal=journal,
                     telemetry=self.telemetry,
                     recovery=engine,
@@ -1099,55 +941,14 @@ class FaultInjector:
         stats.fleet_duplicate_tasks = folded.duplicate_tasks
         stats.fleet_transport_retries = folded.transport_retries
         stats.fleet_local_fallback_tasks = folded.local_fallback_tasks
-
-        # Fold every delivered (and local-fallback) verdict cache into
-        # the campaign-wide cache: duplicated deliveries replay from it
-        # on resume instead of re-verifying.  A donor torn in flight is
-        # an accelerator lost, never an error.
-        if main_cache_path is not None:
-            from repro.fabric import find_shard_journals
-
-            donors = [
-                path + CACHE_SUFFIX
-                for path in find_shard_journals(checkpoint_path)
-            ]
-            donors.extend(fleet_result.vcache_paths)
-            for donor in donors:
-                try:
-                    merge_vcaches(main_cache_path, recovery_cfg.scope, [donor])
-                except VerdictCacheError:
-                    continue
+        # Delivered verdict caches fold in too: duplicated deliveries
+        # replay from the campaign cache on resume instead of
+        # re-verifying.  Their spool files are retired with the slices.
+        self._fold_vcaches(checkpoint_path, donors=fleet_result.vcache_paths)
         for spool in fleet_result.vcache_paths:
-            try:
+            with contextlib.suppress(FileNotFoundError):
                 os.remove(spool)
-            except FileNotFoundError:
-                pass
-        cleanup_shard_artifacts(checkpoint_path)
-
-        # All image accounting (planning + any local fallback) happened
-        # in this process; remote execution accounts on the remote host.
-        planning_stats = source.collect_stats()
-        stats.absorb_image_stats(planning_stats)
-        if self.telemetry.enabled:
-            planning_stats.publish(
-                self.telemetry.registry, engine=self.image_engine
-            )
-
-        planned = {task.index: task for task in tasks}
-        results = []
-        for result in fleet_result.results:
-            task = planned.get(result.task.index)
-            if (
-                task is None
-                or task.stack != result.task.stack
-                or task.variant != result.task.variant
-            ):
-                continue
-            results.append(result)
-        campaign = CampaignResult(
-            results=results, drained=fleet_result.drained
-        )
-        return self._collect(campaign, stats, tree)
+        return self._collect_fabric(plan, fleet_result)
 
     # ------------------------------------------------------------------ #
     # step 2+3, replay engine

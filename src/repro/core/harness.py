@@ -876,6 +876,20 @@ class _AdversarialCursor:
             self._engine.release(image)
 
 
+def make_image_source(
+    initial_image: bytes,
+    trace: Sequence,
+    fault_model: Optional[FaultModelConfig],
+    image_engine: str = ENGINE_IMAGE_REPLAY,
+):
+    """The crash-image source for ``fault_model`` (prefix when None)."""
+    if fault_model is not None and fault_model.is_adversarial:
+        return AdversarialImageSource(
+            initial_image, trace, fault_model, image_engine=image_engine
+        )
+    return PrefixImageSource(initial_image, trace, image_engine=image_engine)
+
+
 # --------------------------------------------------------------------- #
 # checkpoint journal
 # --------------------------------------------------------------------- #

@@ -14,6 +14,10 @@ pipeline:
 
 from __future__ import annotations
 
+import contextlib
+import dataclasses
+import os
+import tempfile
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Sequence
 
@@ -28,6 +32,8 @@ from repro.core.harness import (
     HarnessConfig,
     campaign_fingerprint,
     load_checkpoint,
+    read_journal,
+    result_from_record,
 )
 from repro.core.report import AnalysisReport
 from repro.core.resources import (
@@ -42,6 +48,7 @@ from repro.core.trace_analysis import (
     resolve_sites,
     resolve_sites_scheduled,
 )
+from repro.errors import CheckpointError
 from repro.instrument.runner import run_instrumented
 from repro.instrument.tracer import (
     GRANULARITY_PERSISTENCY,
@@ -432,27 +439,18 @@ class Mumak:
                     with timer.phase("fault_injection"), telemetry.span(
                         "campaign/injection"
                     ):
-                        if runs is not None:
-                            fi_result = injector.inject_scheduled(
-                                app_factory,
-                                runs,
-                                threads=config.sched.threads,
-                                candidates=candidates,
-                                journal=journal,
-                                resume_state=resume_state,
-                            )
-                        else:
-                            fi_result = injector.inject(
-                                app_factory,
-                                workload,
-                                tree,
-                                trace_events,
-                                artifacts.initial_image,
-                                seed=config.seed,
-                                candidates=candidates,
-                                journal=journal,
-                                resume_state=resume_state,
-                            )
+                        fi_result = injector.inject(
+                            app_factory,
+                            workload,
+                            tree,
+                            trace_events,
+                            artifacts.initial_image,
+                            seed=config.seed,
+                            candidates=candidates,
+                            journal=journal,
+                            resume_state=resume_state,
+                            runs=runs,
+                        )
                 finally:
                     if journal is not None:
                         journal.close()
@@ -526,6 +524,56 @@ class Mumak:
             telemetry=telemetry if telemetry.enabled else None,
         )
 
+    @contextlib.contextmanager
+    def _fabric_checkpoint(self, fingerprint, usage, resume_from, prefix):
+        """The checkpoint prelude of a sharded or fleet campaign; yields
+        ``(checkpoint, resume_state, base_records)``.
+
+        The fabric always journals (the merged journal is its ground
+        truth), so a campaign without ``--checkpoint`` runs against a
+        temporary journal discarded with the run.  A fresh campaign
+        sweeps stray slice artifacts of an abandoned run the user chose
+        not to resume (they may even carry a stale fingerprint).  On
+        resume, records may live in the main journal (merged before a
+        crash), in stray slice journals (crash between slice flush and
+        merge), or both.
+        """
+        from repro.fabric import cleanup_shard_artifacts, collect_shard_records
+
+        config = self.config
+        with tempfile.TemporaryDirectory(prefix=prefix) as tmp:
+            checkpoint = config.checkpoint_path
+            if checkpoint is None:
+                checkpoint = os.path.join(tmp, "campaign.journal")
+            resume_state = {}
+            base_records = {}
+            if resume_from is None:
+                cleanup_shard_artifacts(checkpoint)
+            else:
+                strays = collect_shard_records(checkpoint, fingerprint)
+                if os.path.exists(resume_from):
+                    resume_state = load_checkpoint(resume_from, fingerprint)
+                    _, raw = read_journal(resume_from)
+                    base_records = {
+                        record["i"]: record
+                        for record in raw
+                        if record.get("type") == "injection"
+                    }
+                elif not strays:
+                    raise CheckpointError(
+                        f"checkpoint {resume_from!r} does not exist"
+                    )
+                for index, record in strays.items():
+                    base_records.setdefault(index, record)
+                    resume_state.setdefault(
+                        index, result_from_record(record)
+                    )
+            yield checkpoint, resume_state, base_records
+            if config.checkpoint_path is not None and os.path.exists(
+                checkpoint
+            ):
+                usage.checkpoint_bytes = os.path.getsize(checkpoint)
+
     def _analyze_fleet(
         self,
         injector: FaultInjector,
@@ -541,20 +589,7 @@ class Mumak:
         usage,
         resume_from: Optional[str],
     ) -> FaultInjectionResult:
-        """Route the injection phase through the cross-host fleet.
-
-        Same checkpoint discipline as the in-host fabric: the fleet
-        always journals (the merged journal is its ground truth), so a
-        campaign without ``--checkpoint`` runs against a temporary
-        journal discarded with the run.
-        """
-        import dataclasses as _dataclasses
-        import os
-        import tempfile
-
-        from repro.core.harness import read_journal, result_from_record
-        from repro.errors import CheckpointError
-        from repro.fabric import cleanup_shard_artifacts, collect_shard_records
+        """Route the injection phase through the cross-host fleet."""
         from repro.fabric.chaos import TransportChaosConfig
         from repro.fabric.fleet import FleetConfig
 
@@ -581,7 +616,7 @@ class Mumak:
                 "timeout_seconds": config.timeout_seconds,
                 "step_budget": config.step_budget,
                 "max_retries": config.max_retries,
-                "fault_model": _dataclasses.asdict(config.fault_model),
+                "fault_model": dataclasses.asdict(config.fault_model),
                 "image_engine": config.image_engine,
                 "recovery_cache_enabled": recovery_config.cache_enabled,
                 "machine_pool": config.machine_pool,
@@ -599,35 +634,10 @@ class Mumak:
                 else None
             ),
         )
-        with tempfile.TemporaryDirectory(prefix="mumak-fleet-") as tmp:
-            if config.checkpoint_path is not None:
-                checkpoint = config.checkpoint_path
-            else:
-                checkpoint = os.path.join(tmp, "campaign.journal")
-            resume_state = {}
-            base_records = {}
-            if resume_from is None:
-                cleanup_shard_artifacts(checkpoint)
-            else:
-                strays = collect_shard_records(checkpoint, fingerprint)
-                if os.path.exists(resume_from):
-                    resume_state = load_checkpoint(resume_from, fingerprint)
-                    _, raw = read_journal(resume_from)
-                    base_records = {
-                        record["i"]: record
-                        for record in raw
-                        if record.get("type") == "injection"
-                    }
-                elif not strays:
-                    raise CheckpointError(
-                        f"checkpoint {resume_from!r} does not exist"
-                    )
-                for index, record in strays.items():
-                    base_records.setdefault(index, record)
-                    resume_state.setdefault(
-                        index, result_from_record(record)
-                    )
-            fi_result = injector.inject_fleet(
+        with self._fabric_checkpoint(
+            fingerprint, usage, resume_from, "mumak-fleet-"
+        ) as (checkpoint, resume_state, base_records):
+            return injector.inject_fleet(
                 app_factory,
                 workload,
                 tree,
@@ -643,11 +653,6 @@ class Mumak:
                 resume_state=resume_state,
                 base_records=base_records,
             )
-            if config.checkpoint_path is not None and os.path.exists(
-                checkpoint
-            ):
-                usage.checkpoint_bytes = os.path.getsize(checkpoint)
-        return fi_result
 
     def _analyze_sharded(
         self,
@@ -663,23 +668,8 @@ class Mumak:
         resume_from: Optional[str],
         runs=None,
     ) -> FaultInjectionResult:
-        """Route the injection phase through the multiprocess fabric.
-
-        The fabric always journals (shard journals are its ground truth
-        for death requeue), so a campaign without ``--checkpoint`` runs
-        against a temporary journal that is discarded with the run.
-        """
-        import os
-        import tempfile
-
-        from repro.core.harness import read_journal, result_from_record
-        from repro.errors import CheckpointError
-        from repro.fabric import (
-            ChaosConfig,
-            FabricConfig,
-            cleanup_shard_artifacts,
-            collect_shard_records,
-        )
+        """Route the injection phase through the multiprocess fabric."""
+        from repro.fabric import ChaosConfig, FabricConfig
 
         config = self.config
         if config.engine != ENGINE_TRACE:
@@ -694,41 +684,10 @@ class Mumak:
                 ChaosConfig.parse(config.chaos) if config.chaos else None
             ),
         )
-        with tempfile.TemporaryDirectory(prefix="mumak-fabric-") as tmp:
-            if config.checkpoint_path is not None:
-                checkpoint = config.checkpoint_path
-            else:
-                checkpoint = os.path.join(tmp, "campaign.journal")
-            resume_state = {}
-            base_records = {}
-            if resume_from is None:
-                # Stray shard artifacts belong to an abandoned run the
-                # user chose not to resume; a fresh campaign must not
-                # fold them in (they may even carry a stale fingerprint).
-                cleanup_shard_artifacts(checkpoint)
-            else:
-                # Crash recovery: records may live in the main journal
-                # (merged before the crash), in stray shard journals
-                # (crash between shard flush and merge), or both.
-                strays = collect_shard_records(checkpoint, fingerprint)
-                if os.path.exists(resume_from):
-                    resume_state = load_checkpoint(resume_from, fingerprint)
-                    _, raw = read_journal(resume_from)
-                    base_records = {
-                        record["i"]: record
-                        for record in raw
-                        if record.get("type") == "injection"
-                    }
-                elif not strays:
-                    raise CheckpointError(
-                        f"checkpoint {resume_from!r} does not exist"
-                    )
-                for index, record in strays.items():
-                    base_records.setdefault(index, record)
-                    resume_state.setdefault(
-                        index, result_from_record(record)
-                    )
-            fi_result = injector.inject_sharded(
+        with self._fabric_checkpoint(
+            fingerprint, usage, resume_from, "mumak-fabric-"
+        ) as (checkpoint, resume_state, base_records):
+            return injector.inject_sharded(
                 app_factory,
                 workload,
                 tree,
@@ -743,8 +702,3 @@ class Mumak:
                 base_records=base_records,
                 runs=runs,
             )
-            if config.checkpoint_path is not None and os.path.exists(
-                checkpoint
-            ):
-                usage.checkpoint_bytes = os.path.getsize(checkpoint)
-        return fi_result

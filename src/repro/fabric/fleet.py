@@ -611,6 +611,13 @@ class FleetSupervisor:
         self._publish_fin()
         while self._incomplete_slices():
             now = self._clock()
+            if self._pump(now):
+                last_alive = now
+            self._publish_fin()
+            if not self._incomplete_slices():
+                break
+            # Checked after the pump: a stop request that lands in the
+            # tick delivering the last slice leaves nothing to drain.
             if (
                 not draining
                 and self.stop is not None
@@ -626,11 +633,6 @@ class FleetSupervisor:
                 except TransportError:
                     pass
                 self.telemetry.event("fleet/drain_requested")
-            if self._pump(now):
-                last_alive = now
-            self._publish_fin()
-            if not self._incomplete_slices():
-                break
             if draining:
                 if now >= drain_deadline:
                     break  # merge the partials; --resume finishes
@@ -646,7 +648,8 @@ class FleetSupervisor:
         self._publish_fin()
         if self.heartbeat is not None:
             self.heartbeat.finish()
-        return draining
+        # A drain that every slice outran completed the campaign.
+        return draining and bool(self._incomplete_slices())
 
     def _merge(self) -> Dict[int, dict]:
         records = merge_journals(
@@ -787,16 +790,9 @@ def run_fleet_worker(
 
     # -- rebuild the campaign (one instrumented run per worker) --------- #
     say(f"[fleet:{worker_id}] rebuilding campaign {fingerprint[:12]}…")
-    (
-        source,
-        tasks,
-        app_factory,
-        harness,
-        trace,
-        recovery_cfg,
-    ) = _rebuild_campaign(spec)
+    injector, plan, app_factory = _rebuild_campaign(spec)
     say(
-        f"[fleet:{worker_id}] warm: {len(tasks)} task(s) across "
+        f"[fleet:{worker_id}] warm: {len(plan.tasks)} task(s) across "
         f"{slices} slice(s)"
     )
 
@@ -875,13 +871,10 @@ def run_fleet_worker(
             ran = _run_lease(
                 lease,
                 queue,
-                tasks,
+                injector,
+                plan,
                 slices,
-                source,
                 app_factory,
-                harness,
-                trace,
-                recovery_cfg,
                 fingerprint,
                 seed,
                 worker,
@@ -941,6 +934,7 @@ def _rebuild_campaign(spec: dict):
     Everything here mirrors what ``mumak analyze`` does locally: same
     app factory, same workload generator, same planner — so the task
     list (and every injection result) is identical on every host.
+    Returns ``(injector, plan, app_factory)``.
     """
     # Imported lazily: repro.core imports this package for the fabric.
     from repro.apps import APPLICATIONS
@@ -975,19 +969,6 @@ def _rebuild_campaign(spec: dict):
         max_retries=spec.get("max_retries", 2),
         jobs=1,
     )
-    injector = FaultInjector(
-        granularity=spec["granularity"],
-        require_store_since_last=spec["require_store_since_last"],
-        max_injections=spec.get("max_injections"),
-        harness=harness,
-        fault_model=FaultModelConfig(**spec["fault_model"]),
-        image_engine=spec.get("image_engine", "incremental"),
-    )
-    tree, trace, initial_image = injector._detect(
-        app_factory, workload, spec["seed"]
-    )
-    source = injector._make_source(trace, initial_image)
-    tasks = injector._plan_tasks(tree, source)
     recovery_cfg = None
     if spec.get("recovery_cache_enabled", True):
         recovery_cfg = RecoveryEngineConfig.resolve(
@@ -996,19 +977,28 @@ def _rebuild_campaign(spec: dict):
             spec["scope"],
             None,
         )
-    return source, tasks, app_factory, harness, trace, recovery_cfg
+    injector = FaultInjector(
+        granularity=spec["granularity"],
+        require_store_since_last=spec["require_store_since_last"],
+        max_injections=spec.get("max_injections"),
+        harness=harness,
+        fault_model=FaultModelConfig(**spec["fault_model"]),
+        image_engine=spec.get("image_engine", "incremental"),
+        recovery=recovery_cfg,
+    )
+    tree, trace, initial_image = injector._detect(
+        app_factory, workload, spec["seed"]
+    )
+    return injector, injector._plan(tree, trace, initial_image), app_factory
 
 
 def _run_lease(
     lease,
     queue: LeaseQueue,
-    tasks,
+    injector,
+    plan,
     slices: int,
-    source,
     app_factory,
-    harness,
-    trace,
-    recovery_cfg,
     fingerprint: str,
     seed: int,
     worker: _WorkerIO,
@@ -1022,11 +1012,10 @@ def _run_lease(
     import os
 
     from repro.core.harness import CampaignJournal, run_campaign
-    from repro.recovery import RecoveryEngine
     from repro.recovery.engine import CACHE_SUFFIX
 
     slice_tasks = [
-        task for task in tasks if task.index % slices == lease.slice_id
+        task for task in plan.tasks if task.index % slices == lease.slice_id
     ]
     if not slice_tasks:
         _ship(
@@ -1041,25 +1030,17 @@ def _run_lease(
         workdir, f"slice{lease.slice_id}.t{lease.token}.jsonl"
     )
     journal = CampaignJournal(journal_path, fingerprint, seed=seed, interval=1)
-    engine = None
-    cache_path = None
-    if recovery_cfg is not None:
-        cache_path = journal_path + CACHE_SUFFIX
-        engine = RecoveryEngine(
-            dataclasses.replace(recovery_cfg, cache_path=cache_path),
-            trace=trace,
-        )
-        if engine.cache is not None:
-            # Adopt every shipped verdict before running: a re-leased
-            # or duplicated slice replays from memory instead of
-            # re-verifying (the acceptance criterion for duplicates).
-            for name in fleet_transport.list(VCACHE_PREFIX):
-                try:
-                    summary.adopted_verdicts += engine.cache.adopt_bytes(
-                        fleet_transport.get(name)
-                    )
-                except (TransportMissing, TransportError):
-                    continue
+    engine = injector._slice_engine(plan, journal_path)
+    if engine is not None and engine.cache is not None:
+        # Adopt every shipped verdict before running: a re-leased or
+        # duplicated slice replays from memory instead of re-verifying.
+        for name in fleet_transport.list(VCACHE_PREFIX):
+            try:
+                summary.adopted_verdicts += engine.cache.adopt_bytes(
+                    fleet_transport.get(name)
+                )
+            except (TransportMissing, TransportError):
+                continue
     stop = stop_event or threading.Event()
     beacon = _WorkerBeacon(
         _LeaseWorkerShim(worker), queue, lease, stop
@@ -1067,9 +1048,9 @@ def _run_lease(
     try:
         run_campaign(
             slice_tasks,
-            source,
+            plan.source,
             app_factory,
-            config=harness,
+            config=injector.harness,
             journal=journal,
             heartbeat=beacon,
             recovery=engine,
@@ -1082,7 +1063,8 @@ def _run_lease(
     with open(journal_path, "rb") as fh:
         journal_bytes = fh.read()
     cache_bytes = None
-    if cache_path is not None and os.path.exists(cache_path):
+    cache_path = journal_path + CACHE_SUFFIX
+    if engine is not None and os.path.exists(cache_path):
         with open(cache_path, "rb") as fh:
             cache_bytes = fh.read()
     _ship(fleet_transport, lease, journal_bytes, cache_bytes, count_retry)

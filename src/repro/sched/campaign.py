@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.fpt import FailurePointTree
-from repro.core.harness import AdversarialImageSource, PrefixImageSource
+from repro.core.harness import make_image_source
 from repro.instrument.tracer import (
     GRANULARITY_PERSISTENCY,
     FailurePointObserver,
@@ -72,6 +72,8 @@ class ScheduleRun:
     initial_image: bytes = b""
     #: Failure-point candidates the observer saw (pre occurrence-dedup).
     candidates: int = 0
+    #: Simulated threads the sample ran.
+    threads: int = 0
 
 
 def _detect_one(
@@ -127,6 +129,7 @@ def _detect_one(
         tree=tree,
         initial_image=artifacts.initial_image,
         candidates=observer.candidates_seen,
+        threads=sched.threads,
     )
     return run, artifacts
 
@@ -210,22 +213,12 @@ class MultiScheduleSource:
         image_engine: str = ENGINE_IMAGE_REPLAY,
     ):
         self.image_engine = image_engine
-        self.sources: Dict[int, Any] = {}
-        for run in runs:
-            if fault_model is not None and fault_model.is_adversarial:
-                source = AdversarialImageSource(
-                    run.initial_image,
-                    run.trace,
-                    fault_model,
-                    image_engine=image_engine,
-                )
-            else:
-                source = PrefixImageSource(
-                    run.initial_image,
-                    run.trace,
-                    image_engine=image_engine,
-                )
-            self.sources[run.sched] = source
+        self.sources: Dict[int, Any] = {
+            run.sched: make_image_source(
+                run.initial_image, run.trace, fault_model, image_engine
+            )
+            for run in runs
+        }
 
     def cursor(self) -> "_MultiScheduleCursor":
         return _MultiScheduleCursor(self)

@@ -279,3 +279,44 @@ class TestLeaseExpiryRace:
             if json.loads(line).get("type") == "injection"
         ]
         assert indices == sorted(indices) and len(set(indices)) == 8
+
+
+class TestLateDrain:
+    def test_stop_after_the_last_delivery_completes_the_campaign(
+        self, tmp_path
+    ):
+        """Every slice's delivery already sits on the transport when the
+        stop request lands: the tick that folds them finishes the
+        campaign, so nothing is left to drain or resume."""
+        from repro.fabric.fleet import COMPLETE_NAME, DRAIN_NAME
+
+        fleet = str(tmp_path / "fleet")
+        transport = DirTransport(fleet)
+        transport.put("journal/0.t1", _slice_journal([0, 2, 4]))
+        transport.put("journal/1.t1", _slice_journal([1, 3, 5]))
+        stop = threading.Event()
+        stop.set()
+
+        def never_run_locally(slice_id, tasks, journal_path, stop):
+            raise AssertionError("local fallback must not trigger")
+
+        supervisor = FleetSupervisor(
+            tasks=[types.SimpleNamespace(index=i) for i in range(6)],
+            checkpoint_path=str(tmp_path / "ckpt.jsonl"),
+            fingerprint=FP,
+            fingerprint_payload=PAYLOAD,
+            seed=0,
+            config=FleetConfig(
+                root=fleet, slices=2, tick_seconds=0.01,
+                patience_seconds=60.0,
+            ),
+            spec={"target": "synthetic"},
+            local_runner=never_run_locally,
+            stop=stop,
+        )
+        result = supervisor.run()
+        assert result.drained is False
+        assert set(result.records) == set(range(6))
+        names = set(transport.list("campaign/"))
+        assert COMPLETE_NAME in names
+        assert DRAIN_NAME not in names
